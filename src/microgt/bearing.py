@@ -39,6 +39,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
+from .params import check, param
+
 AIR_VISCOSITY = 1.85e-5  # Pa s, room-temperature film
 MIN_RADIAL_NODES = 33  # 32 radial intervals
 MIN_ANGULAR_NODES = 64
@@ -65,41 +67,32 @@ class SpiralGrooveBearing:
     sized to the rotor hub annulus and overridable in config.
     """
 
-    inner_radius: float = 1.0e-3  # m
-    outer_radius: float = 2.2e-3  # m
-    groove_depth: float = 15.0e-6  # m
-    groove_count: int = 12
-    spiral_angle: float = 20.0  # deg from circumferential
-    groove_width_fraction: float = 0.5
-    pump_direction: str = "pump-in"  # or "pump-out"
+    inner_radius: float = param("inner_radius_m", 1.0e-3, "(0, inf)")
+    outer_radius: float = param("outer_radius_m", 2.2e-3, "(0, inf)")
+    # set per face from top_groove_depth_m / bottom_groove_depth_m
+    groove_depth: float = param(None, 15.0e-6, "[0, inf)")
+    groove_count: int = param("groove_count", 12, "[4, inf)")
+    # deg from circumferential
+    spiral_angle: float = param("spiral_angle_deg", 20.0, "(5, 85)")
+    groove_width_fraction: float = param("groove_width_fraction", 0.5, "(0, 1)")
+    pump_direction: str = param(None, "pump-in", "pump-in | pump-out")
 
     def __post_init__(self):
-        if not self.outer_radius > self.inner_radius > 0.0:
-            raise ValueError("radii must satisfy outer > inner > 0")
-        if self.groove_depth < 0.0:
-            raise ValueError("groove_depth must be non-negative")
-        if self.groove_count < 4:
-            raise ValueError("groove_count must be at least 4")
-        if not 5.0 < self.spiral_angle < 85.0:
-            raise ValueError("spiral_angle must lie in (5, 85) degrees")
-        if not 0.0 < self.groove_width_fraction < 1.0:
-            raise ValueError("groove_width_fraction must lie in (0, 1)")
-        if self.pump_direction not in ("pump-in", "pump-out"):
-            raise ValueError("pump_direction must be 'pump-in' or 'pump-out'")
+        check(self)
+        if not self.outer_radius > self.inner_radius:
+            raise ValueError("radii must satisfy outer > inner")
 
 
 @dataclass(frozen=True)
 class FilmState:
-    nominal_clearance: float = 5.0e-6  # m
-    rpm: float = 15000.0
-    ambient_pressure: float = 101325.0  # Pa
-    viscosity: float = AIR_VISCOSITY  # Pa s
+    nominal_clearance: float = param("nominal_clearance_m", 5.0e-6, "(0, inf)")
+    # signed: a negative speed reverses the rotation
+    rpm: float = param("rpm", 15000.0)
+    ambient_pressure: float = param("ambient_pressure_pa", 101325.0, "(0, inf)")
+    viscosity: float = param("viscosity_pa_s", AIR_VISCOSITY, "(0, inf)")
 
     def __post_init__(self):
-        if self.nominal_clearance <= 0.0:
-            raise ValueError("nominal_clearance must be positive")
-        if self.ambient_pressure <= 0.0 or self.viscosity <= 0.0:
-            raise ValueError("ambient_pressure and viscosity must be positive")
+        check(self)
 
     @property
     def omega(self) -> float:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import bearing as br
@@ -18,13 +17,24 @@ from . import combustor as cb
 from . import cycle as cyc
 from . import gas, turbo
 from .config import ConfigError, DEFAULT_CONFIG, ScenarioConfig, validate
+from .params import ConvergenceError
 
 SUBCOMMANDS = ("cycle", "combustor", "turbine", "bearing", "all")
+
+# Keys each subcommand can sweep, from its own config section; the swept
+# key becomes the first column of the sweep table.
+SWEEP_KEYS = {
+    "cycle": ("air_mass_flow_kg_s", "pressure_ratio", "fuel_mass_flow_kg_s",
+              "eta_compressor", "eta_turbine", "eta_combustor",
+              "sigma_combustor", "eta_mechanical"),
+    "combustor": ("air_mass_flow_kg_s", "equivalence_ratio", "chamber_height_m"),
+    "turbine": ("rpm",),
+    "bearing": ("nominal_clearance_m", "rpm"),
+}
 
 
 @dataclass
 class ReportBundle:
-    timestamp: float
     config_hash: str
     tables: dict  # filename -> list of rows (each row: list of values)
     summary: list  # lines
@@ -44,6 +54,13 @@ def _csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _invalid(exc: ValueError) -> int:
+    """Report invalid input (every ConfigError violation) and return exit 1."""
+    for err in getattr(exc, "errors", [str(exc)]):
+        print(f"invalid: {err}", file=sys.stderr)
+    return 1
+
+
 def _parse_sweep(spec: str):
     """--sweep key=start:stop:n -> (key, [values])."""
     key, _, rng = spec.partition("=")
@@ -57,6 +74,19 @@ def _parse_sweep(spec: str):
         return key.strip(), [start]
     step = (stop - start) / (count - 1)
     return key.strip(), [start + i * step for i in range(count)]
+
+
+def _swept(config: ScenarioConfig, section: str, sweep):
+    """One checked config per sweep value.
+
+    An unknown key raises ValueError (a run failure); a value outside the
+    key's bound raises ConfigError (invalid input).
+    """
+    key, values = sweep
+    if key not in SWEEP_KEYS[section]:
+        raise ValueError(
+            f"unknown {section} sweep key '{key}'; options: {', '.join(SWEEP_KEYS[section])}")
+    return [config.with_value(section, key, value) for value in values]
 
 
 def run_cycle(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
@@ -76,8 +106,7 @@ def run_cycle(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
           perf.specific_fuel_consumption]],
     )
     target = config.raw["cycle"]["target_net_power_w"]
-    phi = gas.fuel_air_mass_ratio(1.0)
-    phi = (design.fuel_mass_flow / design.air_mass_flow) / phi
+    phi = cb.equivalence_ratio(design.fuel_mass_flow, design.air_mass_flow)
     bundle.summary += [
         f"cycle: net power {perf.net_power:.3f} W (design target {target:.1f} W)",
         f"cycle: compressor {perf.compressor_power:.3f} W, turbine {perf.turbine_power:.3f} W",
@@ -88,31 +117,13 @@ def run_cycle(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
     if sweep:
         key, values = sweep
         rows = []
-        for value in values:
-            p, _ = cyc.run_cycle(_design_with(design, key, value), props)
+        for value, swept in zip(values, _swept(config, "cycle", sweep)):
+            p, _ = cyc.run_cycle(swept.cycle_design, props)
             rows.append([value, p.net_power, p.turbine_inlet_temperature,
                          p.thermal_efficiency])
         bundle.tables["cycle_sweep.csv"] = (
             [key, "net_power_W", "TIT_K", "thermal_efficiency"], rows)
     return perf
-
-
-_CYCLE_KEYS = {
-    "air_mass_flow_kg_s": "air_mass_flow",
-    "pressure_ratio": "pressure_ratio",
-    "fuel_mass_flow_kg_s": "fuel_mass_flow",
-    "eta_compressor": "eta_compressor",
-    "eta_turbine": "eta_turbine",
-    "eta_combustor": "eta_combustor",
-    "sigma_combustor": "sigma_combustor",
-    "eta_mechanical": "eta_mechanical",
-}
-
-
-def _design_with(design, key, value):
-    if key not in _CYCLE_KEYS:
-        raise ValueError(f"unknown cycle sweep key '{key}'; options: {sorted(_CYCLE_KEYS)}")
-    return replace(design, **{_CYCLE_KEYS[key]: value})
 
 
 def run_combustor(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
@@ -121,21 +132,8 @@ def run_combustor(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
     chemistry = config.chemistry
     points = [(geometry, base)]
     if sweep:
-        key, values = sweep
-        points = []
-        for value in values:
-            g, op = geometry, base
-            if key == "air_mass_flow_kg_s":
-                op = replace(base, air_mass_flow=value)
-            elif key == "equivalence_ratio":
-                op = replace(base, equivalence_ratio=value)
-            elif key == "chamber_height_m":
-                g = replace(geometry, chamber_height=value)
-            else:
-                raise ValueError(
-                    f"unknown combustor sweep key '{key}'; options: "
-                    f"air_mass_flow_kg_s, equivalence_ratio, chamber_height_m")
-            points.append((g, op))
+        points = [(c.combustor_geometry, c.combustor_operating_point)
+                  for c in _swept(config, "combustor", sweep)]
     rows = []
     for g, op in points:
         result = cb.stability(g, op, chemistry)
@@ -171,10 +169,7 @@ def run_turbine(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
     fraction = t["etch_nonuniformity_fraction"]
 
     if sweep:
-        key, values = sweep
-        if key != "rpm":
-            raise ValueError("turbine sweep supports only the 'rpm' key")
-        rpms = values
+        rpms = [c.raw["turbine"]["rpm"] for c in _swept(config, "turbine", sweep)]
     else:
         n = t["rpm_points"]
         step = (t["rpm_max"] - t["rpm_min"]) / (n - 1)
@@ -213,6 +208,9 @@ def run_bearing(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
     top = config.bearing_face("top")
     bottom = config.bearing_face("bottom")
     n_r, n_theta = b["grid_radial_nodes"], b["grid_angular_nodes"]
+    films = [film]
+    if sweep:
+        films = [c.film_state for c in _swept(config, "bearing", sweep)]
 
     field = br.solve_reynolds(top, film, n_r, n_theta)
     rows = []
@@ -222,17 +220,6 @@ def run_bearing(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
                          field.pressures[i, j]])
     bundle.tables["field.csv"] = (["r_m", "theta_rad", "p_Pa"], rows)
 
-    if sweep:
-        key, values = sweep
-        if key == "nominal_clearance_m":
-            films = [replace(film, nominal_clearance=v) for v in values]
-        elif key == "rpm":
-            films = [replace(film, rpm=v) for v in values]
-        else:
-            raise ValueError(
-                "bearing sweep supports 'nominal_clearance_m' or 'rpm'")
-    else:
-        films = [film]
     load_rows = []
     for f in films:
         load = br.solve_load(top, f, n_r, n_theta)
@@ -260,8 +247,8 @@ def run_bearing(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
 
 def run(subcommand: str, config: ScenarioConfig, out_dir: Path, sweep=None) -> int:
     """Execute one subcommand; writes files only after every solve succeeded."""
-    bundle = ReportBundle(timestamp=time.time(), config_hash=config.config_hash,
-                          tables={}, summary=[], warnings=[])
+    bundle = ReportBundle(config_hash=config.config_hash, tables={}, summary=[],
+                          warnings=[])
     try:
         if subcommand in ("cycle", "all"):
             run_cycle(config, bundle, sweep if subcommand == "cycle" else None)
@@ -271,14 +258,16 @@ def run(subcommand: str, config: ScenarioConfig, out_dir: Path, sweep=None) -> i
             run_turbine(config, bundle, sweep if subcommand == "turbine" else None)
         if subcommand in ("bearing", "all"):
             run_bearing(config, bundle, sweep if subcommand == "bearing" else None)
-    except (br.SolverError, br.NoEquilibriumError, cb.ConvergenceError,
-            cyc.ConvergenceError, gas.RichMixtureError, ValueError) as exc:
+    except ConfigError as exc:
+        return _invalid(exc)
+    except (br.SolverError, br.NoEquilibriumError, ConvergenceError,
+            ValueError) as exc:  # gas.RichMixtureError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if subcommand == "all":
         design = config.cycle_design
-        phi = (design.fuel_mass_flow / design.air_mass_flow) / gas.fuel_air_mass_ratio(1.0)
+        phi = cb.equivalence_ratio(design.fuel_mass_flow, design.air_mass_flow)
         bundle.summary.append(
             f"cross-check: cycle flows give combustor phi = {phi:.4f}")
 
@@ -315,6 +304,7 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate", help="check a scenario config")
     p_val.add_argument("config", type=Path)
+    p_val.set_defaults(sweep=None)
 
     p_run = sub.add_parser("run", help="run an analysis module")
     p_run.add_argument("subcommand", choices=SUBCOMMANDS)
@@ -324,7 +314,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--sweep", type=str, default=None,
                        metavar="key=start:stop:n")
 
-    p_def = sub.add_parser("defaults", help="print the default config")
+    sub.add_parser("defaults", help="print the default config")
 
     args = parser.parse_args(argv)
 
@@ -332,43 +322,19 @@ def main(argv=None) -> int:
         print(DEFAULT_CONFIG, end="")
         return 0
 
-    if args.command == "validate":
-        try:
-            text = args.config.read_text()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        try:
-            validate(text)
-        except ConfigError as exc:
-            for err in exc.errors:
-                print(f"invalid: {err}", file=sys.stderr)
-            return 1
-        print("ok")
-        return 0
-
-    # run
-    if args.config is None:
-        text = DEFAULT_CONFIG
-    else:
-        try:
-            text = args.config.read_text()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    try:
+        text = DEFAULT_CONFIG if args.config is None else args.config.read_text()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         config = validate(text)
-    except ConfigError as exc:
-        for err in exc.errors:
-            print(f"invalid: {err}", file=sys.stderr)
-        return 1
-    sweep = None
-    if args.sweep:
-        try:
-            sweep = _parse_sweep(args.sweep)
-        except ValueError as exc:
-            print(f"invalid: {exc}", file=sys.stderr)
-            return 1
+        sweep = _parse_sweep(args.sweep) if args.sweep else None
+    except ValueError as exc:  # ConfigError included
+        return _invalid(exc)
+    if args.command == "validate":
+        print("ok")
+        return 0
     return run(args.subcommand, config, args.out, sweep)
 
 

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 from . import gas
+from .params import ConvergenceError, bracketed_root, check, param
 
 # Transport surrogate: power-law viscosity with constant Prandtl number.
 PRANDTL = 0.70
@@ -34,19 +35,8 @@ NU_CHANNEL = 7.54  # laminar parallel-plate value, used for the recuperator
 INTERIOR_EFFECTIVENESS = 0.90  # fraction of capacity flux equilibrating with the wall
 AMBIENT_TEMPERATURE = 300.0  # K, heat-loss sink
 
-# Frozen chemical-time calibration (see tests/calibration_fixture.py).
-CHEM_PREFACTOR = 4.8290e-10  # s
-CHEM_ACTIVATION_ENERGY = 45.0e3  # J/mol
-CHEM_PHI_EXPONENT = 1.0
-CHEM_PRESSURE_EXPONENT = 1.0
-DA_CRITICAL = 1.0
-
 # Scan grid used to locate the lean-blowout mass flow, kg/s.
 BLOWOUT_SCAN_FLOWS = tuple(0.01e-3 + 0.0025e-3 * i for i in range(77))
-
-
-class ConvergenceError(RuntimeError):
-    """Thermal or flame-temperature solve failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -58,26 +48,24 @@ class CombustorGeometry:
     to fit the 21.5 mm die and are overridable in the scenario config.
     """
 
-    chamber_height: float = 1.2e-3  # m
-    annulus_outer_radius: float = 8.0e-3  # m
-    annulus_inner_radius: float = 5.0e-3  # m
-    recirculation_channel_length: float = 0.05  # m, unfolded hairpin length
-    recirculation_hydraulic_diameter: float = 0.8e-3  # m
-    recirculation_channel_width: float = 15.0e-3  # m, flat-channel span
-    wall_thermal_conductance: float = 0.56  # W/K, lumped exterior loss
-    die_footprint: float = 0.0215  # m
+    chamber_height: float = param("chamber_height_m", 1.2e-3, "(0, inf)")
+    annulus_outer_radius: float = param("annulus_outer_radius_m", 8.0e-3, "(0, inf)")
+    annulus_inner_radius: float = param("annulus_inner_radius_m", 5.0e-3, "(0, inf)")
+    # unfolded hairpin length
+    recirculation_channel_length: float = param(
+        "recirculation_channel_length_m", 0.05, "[0, inf)")
+    recirculation_hydraulic_diameter: float = param(
+        "recirculation_hydraulic_diameter_m", 0.8e-3, "(0, inf)")
+    # flat-channel span
+    recirculation_channel_width: float = param(
+        "recirculation_channel_width_m", 15.0e-3, "(0, inf)")
+    # lumped exterior loss, W/K
+    wall_thermal_conductance: float = param("wall_conductance_w_per_k", 0.56, "[0, inf)")
 
     def __post_init__(self):
-        if not self.annulus_outer_radius > self.annulus_inner_radius > 0.0:
-            raise ValueError("annulus radii must satisfy outer > inner > 0")
-        if self.chamber_height <= 0.0:
-            raise ValueError("chamber_height must be positive")
-        if self.wall_thermal_conductance < 0.0:
-            raise ValueError("wall_thermal_conductance must be non-negative")
-        if self.recirculation_channel_length < 0.0:
-            raise ValueError("recirculation_channel_length must be non-negative")
-        if self.recirculation_hydraulic_diameter <= 0.0 or self.recirculation_channel_width <= 0.0:
-            raise ValueError("recirculation channel dimensions must be positive")
+        check(self)
+        if not self.annulus_outer_radius > self.annulus_inner_radius:
+            raise ValueError("annulus radii must satisfy outer > inner")
 
     @property
     def chamber_volume(self) -> float:
@@ -88,18 +76,13 @@ class CombustorGeometry:
 
 @dataclass(frozen=True)
 class CombustorOperatingPoint:
-    air_mass_flow: float  # kg/s
-    equivalence_ratio: float
-    inlet_temperature: float = 300.0  # K
-    inlet_pressure: float = 101325.0  # Pa
+    air_mass_flow: float = param("air_mass_flow_kg_s", 0.15e-3, "(0, inf)")
+    equivalence_ratio: float = param("equivalence_ratio", 0.8, "[0, 1]")
+    inlet_temperature: float = param("inlet_temperature_k", 300.0, "(0, inf)")
+    inlet_pressure: float = param("inlet_pressure_pa", 101325.0, "(0, inf)")
 
     def __post_init__(self):
-        if self.air_mass_flow <= 0.0:
-            raise ValueError("air_mass_flow must be positive")
-        if not 0.0 <= self.equivalence_ratio <= 1.0:
-            raise ValueError("equivalence_ratio must lie in [0, 1]")
-        if self.inlet_temperature <= 0.0 or self.inlet_pressure <= 0.0:
-            raise ValueError("inlet temperature and pressure must be positive")
+        check(self)
 
     @property
     def fuel_mass_flow(self) -> float:
@@ -112,26 +95,24 @@ class CombustorOperatingPoint:
 
 @dataclass(frozen=True)
 class ChemicalTimeModel:
-    """Arrhenius chemical-time correlation constants."""
+    """Arrhenius chemical-time correlation constants.
 
-    prefactor: float = CHEM_PREFACTOR  # s
-    activation_energy: float = CHEM_ACTIVATION_ENERGY  # J/mol
-    phi_exponent: float = CHEM_PHI_EXPONENT
-    pressure_exponent: float = CHEM_PRESSURE_EXPONENT
-    da_critical: float = DA_CRITICAL
+    The defaults are the frozen calibration of tests/calibration_fixture.py.
+    """
+
+    prefactor: float = param("chem_prefactor_s", 4.8290e-10, "(0, inf)")
+    activation_energy: float = param("chem_activation_j_per_mol", 45.0e3, "(0, inf)")
+    phi_exponent: float = param("chem_phi_exponent", 1.0, "(0, inf)")
+    pressure_exponent: float = param("chem_pressure_exponent", 1.0, "[0, inf)")
+    da_critical: float = param("damkohler_critical", 1.0, "(0, inf)")
 
     def __post_init__(self):
-        if self.prefactor <= 0.0:
-            raise ValueError("prefactor must be positive")
-        if self.activation_energy <= 0.0:
-            raise ValueError("activation_energy must be positive")
-        if self.phi_exponent <= 0.0:
-            raise ValueError("phi_exponent must be positive")
-        if self.da_critical <= 0.0:
-            raise ValueError("da_critical must be positive")
+        check(self)
 
 
 DEFAULT_CHEMISTRY = ChemicalTimeModel()
+CHEM_PREFACTOR = DEFAULT_CHEMISTRY.prefactor  # s
+DA_CRITICAL = DEFAULT_CHEMISTRY.da_critical
 
 
 @dataclass(frozen=True)
@@ -172,34 +153,18 @@ def adiabatic_flame_temperature(phi: float, inlet_temperature: float,
                                 inlet_pressure: float = 101325.0) -> float:
     """Complete-combustion flame temperature of a premixed H2-air stream.
 
-    Solves h(products, T) = h(mixture, T_in) on total enthalpies by bisection.
+    Solves h(products, T) = h(mixture, T_in) on total enthalpies, with the
+    root bracketed by [250 K, 3400 K].
     Without dissociation the result runs above equilibrium values near
     stoichiometric (by roughly 100 K at phi = 1).
     """
-    if not 0.0 <= phi <= 1.0:
-        if phi > 1.0:
-            raise gas.RichMixtureError(f"phi = {phi} is rich; lean model only")
-        raise ValueError(f"phi must be non-negative, got {phi}")
+    mixture = gas.unburned_mixture(phi)  # ValueError below phi = 0
+    products = gas.burned_composition(phi)  # RichMixtureError above 1
     if phi == 0.0:
         return inlet_temperature
-    mixture = gas.unburned_mixture(phi)
-    products = gas.burned_composition(phi)
     target = gas.enthalpy_mass(mixture, inlet_temperature)
-    t_lo, t_hi = inlet_temperature, 3400.0
-    if gas.enthalpy_mass(products, t_hi) - target < 0.0:
-        raise ConvergenceError(
-            f"flame temperature above {t_hi} K (residual "
-            f"{gas.enthalpy_mass(products, t_hi) - target:.3e} J/kg)"
-        )
-    for _ in range(200):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if gas.enthalpy_mass(products, t_mid) - target > 0.0:
-            t_hi = t_mid
-        else:
-            t_lo = t_mid
-        if t_hi - t_lo < 1e-10 * t_mid:
-            break
-    return 0.5 * (t_lo + t_hi)
+    return bracketed_root(lambda t: gas.enthalpy_mass(products, t) - target,
+                          gas.T_MIN, 3400.0, "adiabatic flame temperature")
 
 
 def _recuperator_ntu(geometry: CombustorGeometry, mixture, total_mass_flow: float,
@@ -280,18 +245,8 @@ def _solve_thermal(geometry: CombustorGeometry, op: CombustorOperatingPoint,
 
     def exit_for_wall(t_w):
         target = h_in - g_loss * (t_w - ambient_temperature) / mdot
-        t_lo, t_hi = 250.0, 3400.0
-        if gas.enthalpy_mass(products, t_hi) - target < 0.0:
-            return t_hi
-        if gas.enthalpy_mass(products, t_lo) - target > 0.0:
-            return t_lo
-        for _ in range(120):
-            t_mid = 0.5 * (t_lo + t_hi)
-            if gas.enthalpy_mass(products, t_mid) - target > 0.0:
-                t_hi = t_mid
-            else:
-                t_lo = t_mid
-        return 0.5 * (t_lo + t_hi)
+        return bracketed_root(lambda t: gas.enthalpy_mass(products, t) - target,
+                              gas.T_MIN, 3400.0, "combustor exit temperature")
 
     def wall_update(t_w):
         t_e = exit_for_wall(t_w)
@@ -304,15 +259,13 @@ def _solve_thermal(geometry: CombustorGeometry, op: CombustorOperatingPoint,
                 / (g_int + g_loss + k_rec)), t_e, eps
 
     t_w = max(t_in, ambient_temperature)
-    converged = False
     for _ in range(400):
         t_w_new, t_e, eps = wall_update(t_w)
         if abs(t_w_new - t_w) < 1e-9 * max(t_w, 1.0):
             t_w = t_w_new
-            converged = True
             break
         t_w = 0.5 * (t_w + t_w_new)
-    if not converged:
+    else:
         raise ConvergenceError(
             f"wall balance did not converge (last wall update {t_w_new - t_w:.3e} K)"
         )

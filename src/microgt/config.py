@@ -4,6 +4,11 @@ The format is deliberately trivial: `[section]` headers, `key = value`
 pairs, `#` comments, all keys carrying SI unit suffixes.  validate()
 returns either a fully-typed ScenarioConfig or the complete list of
 violations, never just the first one.
+
+Each key is declared once: as a param() field of the dataclass that
+consumes it, or below as a Param for the run settings no dataclass holds.
+The schema, the bounds and DEFAULT_CONFIG all derive from those
+declarations.
 """
 
 from __future__ import annotations
@@ -16,6 +21,75 @@ from . import cycle as cyc
 from . import bearing as br
 from . import turbo
 from .gas import AIR, ConstantCpGas, GasState, POLYNOMIAL
+from .params import Param, declared
+
+# Section -> its keys in file order: a dataclass stands for its param()
+# fields, a Param for a run setting that no dataclass holds.
+SECTIONS = {
+    "properties": (
+        Param("mode", "polynomial", "polynomial | constant_cp"),
+        ConstantCpGas,
+    ),
+    "ambient": (
+        Param("temperature_k", 300.0, "(0, inf)"),
+        Param("pressure_pa", 101325.0, "(0, inf)"),
+    ),
+    "cycle": (
+        cyc.CycleDesignPoint,
+        Param("target_net_power_w", 39.0, "(0, inf)"),
+    ),
+    "combustor": (cb.CombustorGeometry, cb.CombustorOperatingPoint),
+    "calibration": (cb.ChemicalTimeModel,),
+    "turbine": (
+        turbo.RotorGeometry,
+        turbo.StatorGeometry,
+        Param("rpm", 15000.0, "[0, inf)"),
+        Param("rpm_min", 5000.0, "[0, inf)"),
+        Param("rpm_max", 30000.0, "(0, inf)"),
+        Param("rpm_points", 11, "[2, inf)"),
+        Param("etch_nonuniformity_fraction", 0.05, "[0, 1)"),
+        Param("mass_flow_kg_s", 0.36e-3, "(0, inf)"),
+        Param("drive_temperature_k", 300.0, "(0, inf)"),
+        Param("drive_pressure_pa", 101325.0, "(0, inf)"),
+    ),
+    "bearing": (
+        br.SpiralGrooveBearing,
+        Param("top_groove_depth_m", 15.0e-6, "[0, inf)"),
+        Param("bottom_groove_depth_m", 36.0e-6, "[0, inf)"),
+        Param("total_axial_gap_m", 40.0e-6, "(0, inf)"),
+        br.FilmState,
+        Param("grid_radial_nodes", 65, f"[{br.MIN_RADIAL_NODES}, inf)"),
+        Param("grid_angular_nodes", 96, f"[{br.MIN_ANGULAR_NODES}, inf)"),
+        Param("external_axial_load_n", "auto",
+              auto="rotor weight from the turbine section"),
+    ),
+}
+
+
+
+def _params(source):
+    """The config Params a SECTIONS entry stands for."""
+    if isinstance(source, Param):
+        return [source]
+    return [p for _, p in declared(source) if p.key]
+
+
+# section -> key -> Param
+_SCHEMA = {section: {p.key: p for source in sources for p in _params(source)}
+           for section, sources in SECTIONS.items()}
+
+
+def _render() -> str:
+    lines = ["# microgt scenario configuration (SI units, unit suffix in every key)"]
+    for section, schema in _SCHEMA.items():
+        lines += ["", f"[{section}]"]
+        for p in schema.values():
+            comment = f"   # {p.comment}" if p.comment else ""
+            lines.append(f"{p.key} = {p.default}{comment}")
+    return "\n".join(lines) + "\n"
+
+
+DEFAULT_CONFIG = _render()
 
 
 class ConfigError(ValueError):
@@ -26,188 +100,23 @@ class ConfigError(ValueError):
         self.errors = list(errors)
 
 
-def _positive(x):
-    return x > 0.0
-
-
-def _non_negative(x):
-    return x >= 0.0
-
-
-def _fraction(x):
-    return 0.0 < x <= 1.0
-
-
-def _unit(x):
-    return 0.0 <= x <= 1.0
-
-
-# key -> (parser, predicate, bound description)
-_FLOAT = ("float", None, "")
-_SCHEMA = {
-    "properties": {
-        "mode": ("choice:polynomial,constant_cp", None, ""),
-        "constant_cp_j_per_kg_k": ("float", _positive, "must be > 0"),
-        "constant_gamma": ("float", lambda x: 1.0 < x <= 5.0 / 3.0, "must lie in (1, 5/3]"),
-    },
-    "ambient": {
-        "temperature_k": ("float", _positive, "must be > 0"),
-        "pressure_pa": ("float", _positive, "must be > 0"),
-    },
-    "cycle": {
-        "air_mass_flow_kg_s": ("float", _positive, "must be > 0"),
-        "pressure_ratio": ("float", lambda x: x >= 1.0, "must be >= 1"),
-        "fuel_mass_flow_kg_s": ("float", _non_negative, "must be >= 0"),
-        "eta_compressor": ("float", _fraction, "must lie in (0, 1]"),
-        "eta_turbine": ("float", _fraction, "must lie in (0, 1]"),
-        "eta_combustor": ("float", _fraction, "must lie in (0, 1]"),
-        "sigma_combustor": ("float", _fraction, "must lie in (0, 1]"),
-        "eta_mechanical": ("float", _fraction, "must lie in (0, 1]"),
-        "fuel_lhv_j_per_kg": ("float", _positive, "must be > 0"),
-        "target_net_power_w": ("float", _positive, "must be > 0"),
-    },
-    "combustor": {
-        "chamber_height_m": ("float", _positive, "must be > 0"),
-        "annulus_outer_radius_m": ("float", _positive, "must be > 0"),
-        "annulus_inner_radius_m": ("float", _positive, "must be > 0"),
-        "recirculation_channel_length_m": ("float", _non_negative, "must be >= 0"),
-        "recirculation_hydraulic_diameter_m": ("float", _positive, "must be > 0"),
-        "recirculation_channel_width_m": ("float", _positive, "must be > 0"),
-        "wall_conductance_w_per_k": ("float", _non_negative, "must be >= 0"),
-        "die_footprint_m": ("float", _positive, "must be > 0"),
-        "air_mass_flow_kg_s": ("float", _positive, "must be > 0"),
-        "equivalence_ratio": ("float", _unit, "must lie in [0, 1]"),
-        "inlet_temperature_k": ("float", _positive, "must be > 0"),
-        "inlet_pressure_pa": ("float", _positive, "must be > 0"),
-    },
-    "calibration": {
-        "chem_prefactor_s": ("float", _positive, "must be > 0"),
-        "chem_activation_j_per_mol": ("float", _positive, "must be > 0"),
-        "chem_phi_exponent": ("float", _positive, "must be > 0"),
-        "chem_pressure_exponent": ("float", _non_negative, "must be >= 0"),
-        "damkohler_critical": ("float", _positive, "must be > 0"),
-    },
-    "turbine": {
-        "blade_count": ("int", lambda x: x >= 2, "must be >= 2"),
-        "outer_diameter_m": ("float", _positive, "must be > 0"),
-        "inner_diameter_m": ("float", _positive, "must be > 0"),
-        "blade_height_m": ("float", _positive, "must be > 0"),
-        "inlet_blade_angle_deg": ("float", lambda x: -90.0 < x < 90.0, "must lie in (-90, 90)"),
-        "exit_blade_angle_deg": ("float", lambda x: -90.0 < x < 90.0, "must lie in (-90, 90)"),
-        "stator_vane_count": ("int", lambda x: x >= 2, "must be >= 2"),
-        "stator_exit_angle_deg": ("float", lambda x: 0.0 < x < 89.0, "must lie in (0, 89)"),
-        "stator_exit_radius_m": ("float", _positive, "must be > 0"),
-        "rpm": ("float", _non_negative, "must be >= 0"),
-        "rpm_min": ("float", _non_negative, "must be >= 0"),
-        "rpm_max": ("float", _positive, "must be > 0"),
-        "rpm_points": ("int", lambda x: x >= 2, "must be >= 2"),
-        "etch_nonuniformity_fraction": ("float", lambda x: 0.0 <= x < 1.0, "must lie in [0, 1)"),
-        "mass_flow_kg_s": ("float", _positive, "must be > 0"),
-        "drive_temperature_k": ("float", _positive, "must be > 0"),
-        "drive_pressure_pa": ("float", _positive, "must be > 0"),
-    },
-    "bearing": {
-        "inner_radius_m": ("float", _positive, "must be > 0"),
-        "outer_radius_m": ("float", _positive, "must be > 0"),
-        "groove_count": ("int", lambda x: x >= 4, "must be >= 4"),
-        "spiral_angle_deg": ("float", lambda x: 5.0 < x < 85.0, "must lie in (5, 85)"),
-        "groove_width_fraction": ("float", lambda x: 0.0 < x < 1.0, "must lie in (0, 1)"),
-        "top_groove_depth_m": ("float", _non_negative, "must be >= 0"),
-        "bottom_groove_depth_m": ("float", _non_negative, "must be >= 0"),
-        "nominal_clearance_m": ("float", _positive, "must be > 0"),
-        "total_axial_gap_m": ("float", _positive, "must be > 0"),
-        "rpm": ("float", None, ""),
-        "ambient_pressure_pa": ("float", _positive, "must be > 0"),
-        "viscosity_pa_s": ("float", _positive, "must be > 0"),
-        "grid_radial_nodes": ("int", lambda x: x >= br.MIN_RADIAL_NODES,
-                              f"must be >= {br.MIN_RADIAL_NODES}"),
-        "grid_angular_nodes": ("int", lambda x: x >= br.MIN_ANGULAR_NODES and x % 4 == 0,
-                               f"must be >= {br.MIN_ANGULAR_NODES} and a multiple of 4"),
-        "external_axial_load_n": ("float_or_auto", None, ""),
-    },
-}
-
-DEFAULT_CONFIG = """\
-# microgt scenario configuration (SI units, unit suffix in every key)
-
-[properties]
-mode = polynomial              # polynomial | constant_cp
-constant_cp_j_per_kg_k = 1005.0
-constant_gamma = 1.4
-
-[ambient]
-temperature_k = 300.0
-pressure_pa = 101325.0
-
-[cycle]
-air_mass_flow_kg_s = 0.36e-3
-pressure_ratio = 4.0
-fuel_mass_flow_kg_s = 4.7222222e-6   # 17 g/h of H2
-eta_compressor = 0.65
-eta_turbine = 0.75
-eta_combustor = 0.74
-sigma_combustor = 0.92
-eta_mechanical = 1.0
-fuel_lhv_j_per_kg = 120.0e6
-target_net_power_w = 39.0
-
-[combustor]
-chamber_height_m = 1.2e-3
-annulus_outer_radius_m = 8.0e-3
-annulus_inner_radius_m = 5.0e-3
-recirculation_channel_length_m = 0.05
-recirculation_hydraulic_diameter_m = 0.8e-3
-recirculation_channel_width_m = 15.0e-3
-wall_conductance_w_per_k = 0.56
-die_footprint_m = 0.0215
-air_mass_flow_kg_s = 0.15e-3
-equivalence_ratio = 0.8
-inlet_temperature_k = 300.0
-inlet_pressure_pa = 101325.0
-
-[calibration]
-chem_prefactor_s = 4.8290e-10
-chem_activation_j_per_mol = 45.0e3
-chem_phi_exponent = 1.0
-chem_pressure_exponent = 1.0
-damkohler_critical = 1.0
-
-[turbine]
-blade_count = 17
-outer_diameter_m = 8.2e-3
-inner_diameter_m = 4.4e-3
-blade_height_m = 0.4e-3
-inlet_blade_angle_deg = 68.6
-exit_blade_angle_deg = -50.0
-stator_vane_count = 23
-stator_exit_angle_deg = 70.0
-stator_exit_radius_m = 4.3e-3
-rpm = 15000.0
-rpm_min = 5000.0
-rpm_max = 30000.0
-rpm_points = 11
-etch_nonuniformity_fraction = 0.05
-mass_flow_kg_s = 0.36e-3
-drive_temperature_k = 300.0
-drive_pressure_pa = 101325.0
-
-[bearing]
-inner_radius_m = 1.0e-3
-outer_radius_m = 2.2e-3
-groove_count = 12
-spiral_angle_deg = 20.0
-groove_width_fraction = 0.5
-top_groove_depth_m = 15.0e-6
-bottom_groove_depth_m = 36.0e-6
-nominal_clearance_m = 5.0e-6
-total_axial_gap_m = 40.0e-6
-rpm = 15000.0
-ambient_pressure_pa = 101325.0
-viscosity_pa_s = 1.85e-5
-grid_radial_nodes = 65
-grid_angular_nodes = 96
-external_axial_load_n = auto   # auto = rotor weight from the turbine section
-"""
+def _cross_field_errors(values) -> list:
+    """Violations that involve more than one key, or more than a range."""
+    errors = []
+    bearing = values["bearing"]
+    if bearing["outer_radius_m"] <= bearing["inner_radius_m"]:
+        errors.append("[bearing] outer_radius_m must exceed inner_radius_m")
+    if bearing["grid_angular_nodes"] % 4 != 0:
+        errors.append("[bearing] grid_angular_nodes must be a multiple of 4")
+    comb = values["combustor"]
+    if comb["annulus_outer_radius_m"] <= comb["annulus_inner_radius_m"]:
+        errors.append("[combustor] annulus_outer_radius_m must exceed annulus_inner_radius_m")
+    turb = values["turbine"]
+    if turb["outer_diameter_m"] <= turb["inner_diameter_m"]:
+        errors.append("[turbine] outer_diameter_m must exceed inner_diameter_m")
+    if turb["rpm_max"] < turb["rpm_min"]:
+        errors.append("[turbine] rpm_max must be >= rpm_min")
+    return errors
 
 
 @dataclass(frozen=True)
@@ -217,11 +126,27 @@ class ScenarioConfig:
     raw: dict  # section -> key -> parsed value
     config_hash: str
 
+    def build(self, cls, section: str, **extra):
+        """cls made from the section's values of its param() fields."""
+        values = self.raw[section]
+        return cls(**{name: values[p.key] for name, p in declared(cls) if p.key},
+                   **extra)
+
+    def with_value(self, section: str, key: str, value) -> ScenarioConfig:
+        """A copy with one value replaced; ConfigError names the key if the
+        value is out of bounds."""
+        problem = _SCHEMA[section][key].problem(value)
+        raw = {**self.raw, section: {**self.raw[section], key: value}}
+        errors = ([f"[{section}] {key} = {value}: {problem}"] if problem
+                  else _cross_field_errors(raw))
+        if errors:
+            raise ConfigError(errors)
+        return ScenarioConfig(raw=raw, config_hash=self.config_hash)
+
     @property
     def property_model(self):
         if self.raw["properties"]["mode"] == "constant_cp":
-            return ConstantCpGas(self.raw["properties"]["constant_cp_j_per_kg_k"],
-                                 self.raw["properties"]["constant_gamma"])
+            return self.build(ConstantCpGas, "properties")
         return POLYNOMIAL
 
     @property
@@ -231,99 +156,36 @@ class ScenarioConfig:
 
     @property
     def cycle_design(self) -> cyc.CycleDesignPoint:
-        c = self.raw["cycle"]
-        return cyc.CycleDesignPoint(
-            ambient=self.ambient_state,
-            air_mass_flow=c["air_mass_flow_kg_s"],
-            pressure_ratio=c["pressure_ratio"],
-            fuel_mass_flow=c["fuel_mass_flow_kg_s"],
-            eta_compressor=c["eta_compressor"],
-            eta_turbine=c["eta_turbine"],
-            eta_combustor=c["eta_combustor"],
-            sigma_combustor=c["sigma_combustor"],
-            eta_mechanical=c["eta_mechanical"],
-            fuel_lhv=c["fuel_lhv_j_per_kg"],
-        )
+        return self.build(cyc.CycleDesignPoint, "cycle", ambient=self.ambient_state)
 
     @property
     def combustor_geometry(self) -> cb.CombustorGeometry:
-        c = self.raw["combustor"]
-        return cb.CombustorGeometry(
-            chamber_height=c["chamber_height_m"],
-            annulus_outer_radius=c["annulus_outer_radius_m"],
-            annulus_inner_radius=c["annulus_inner_radius_m"],
-            recirculation_channel_length=c["recirculation_channel_length_m"],
-            recirculation_hydraulic_diameter=c["recirculation_hydraulic_diameter_m"],
-            recirculation_channel_width=c["recirculation_channel_width_m"],
-            wall_thermal_conductance=c["wall_conductance_w_per_k"],
-            die_footprint=c["die_footprint_m"],
-        )
+        return self.build(cb.CombustorGeometry, "combustor")
 
     @property
     def combustor_operating_point(self) -> cb.CombustorOperatingPoint:
-        c = self.raw["combustor"]
-        return cb.CombustorOperatingPoint(
-            air_mass_flow=c["air_mass_flow_kg_s"],
-            equivalence_ratio=c["equivalence_ratio"],
-            inlet_temperature=c["inlet_temperature_k"],
-            inlet_pressure=c["inlet_pressure_pa"],
-        )
+        return self.build(cb.CombustorOperatingPoint, "combustor")
 
     @property
     def chemistry(self) -> cb.ChemicalTimeModel:
-        c = self.raw["calibration"]
-        return cb.ChemicalTimeModel(
-            prefactor=c["chem_prefactor_s"],
-            activation_energy=c["chem_activation_j_per_mol"],
-            phi_exponent=c["chem_phi_exponent"],
-            pressure_exponent=c["chem_pressure_exponent"],
-            da_critical=c["damkohler_critical"],
-        )
+        return self.build(cb.ChemicalTimeModel, "calibration")
 
     @property
     def rotor_geometry(self) -> turbo.RotorGeometry:
-        t = self.raw["turbine"]
-        return turbo.RotorGeometry(
-            blade_count=t["blade_count"],
-            outer_diameter=t["outer_diameter_m"],
-            inner_diameter=t["inner_diameter_m"],
-            blade_height=t["blade_height_m"],
-            inlet_blade_angle=t["inlet_blade_angle_deg"],
-            exit_blade_angle=t["exit_blade_angle_deg"],
-        )
+        return self.build(turbo.RotorGeometry, "turbine")
 
     @property
     def stator_geometry(self) -> turbo.StatorGeometry:
-        t = self.raw["turbine"]
-        return turbo.StatorGeometry(
-            vane_count=t["stator_vane_count"],
-            exit_flow_angle=t["stator_exit_angle_deg"],
-            exit_radius=t["stator_exit_radius_m"],
-        )
+        return self.build(turbo.StatorGeometry, "turbine")
 
     def bearing_face(self, which: str) -> br.SpiralGrooveBearing:
-        b = self.raw["bearing"]
-        depth = b["top_groove_depth_m"] if which == "top" else b["bottom_groove_depth_m"]
-        direction = "pump-in" if which == "top" else "pump-out"
-        return br.SpiralGrooveBearing(
-            inner_radius=b["inner_radius_m"],
-            outer_radius=b["outer_radius_m"],
-            groove_depth=depth,
-            groove_count=b["groove_count"],
-            spiral_angle=b["spiral_angle_deg"],
-            groove_width_fraction=b["groove_width_fraction"],
-            pump_direction=direction,
-        )
+        return self.build(br.SpiralGrooveBearing, "bearing",
+                          groove_depth=self.raw["bearing"][f"{which}_groove_depth_m"],
+                          pump_direction="pump-in" if which == "top" else "pump-out")
 
     @property
     def film_state(self) -> br.FilmState:
-        b = self.raw["bearing"]
-        return br.FilmState(
-            nominal_clearance=b["nominal_clearance_m"],
-            rpm=b["rpm"],
-            ambient_pressure=b["ambient_pressure_pa"],
-            viscosity=b["viscosity_pa_s"],
-        )
+        return self.build(br.FilmState, "bearing")
 
     @property
     def external_axial_load(self) -> float:
@@ -333,30 +195,11 @@ class ScenarioConfig:
         return value
 
 
-def _parse_value(kind, text):
-    if kind.startswith("choice:"):
-        options = kind.split(":", 1)[1].split(",")
-        if text not in options:
-            raise ValueError(f"must be one of {options}")
-        return text
-    if kind == "float_or_auto":
-        if text == "auto":
-            return "auto"
-        return float(text)
-    if kind == "int":
-        value = float(text)
-        if value != int(value):
-            raise ValueError("must be an integer")
-        return int(value)
-    return float(text)
-
-
 def validate(config_text: str):
     """Parse and check a config; returns ScenarioConfig or raises ConfigError
     carrying the complete list of violations."""
     errors = []
     values = {section: {} for section in _SCHEMA}
-    seen = {section: set() for section in _SCHEMA}
     section = None
     for lineno, raw_line in enumerate(config_text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -377,41 +220,22 @@ def validate(config_text: str):
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        schema = _SCHEMA[section]
-        if key not in schema:
+        if key not in _SCHEMA[section]:
             errors.append(f"line {lineno}: unknown key '{key}' in section [{section}]")
             continue
-        seen[section].add(key)
-        kind, predicate, bound = schema[key]
         try:
-            value = _parse_value(kind, text)
+            values[section][key] = _SCHEMA[section][key].parse(text)
         except ValueError as exc:
-            message = str(exc) if "must" in str(exc) else f"not a valid {kind}"
-            errors.append(f"line {lineno}: [{section}] {key} = {text!r}: {message}")
-            continue
-        if predicate is not None and value != "auto" and not predicate(value):
-            errors.append(f"line {lineno}: [{section}] {key} = {value}: {bound}")
-            continue
-        values[section][key] = value
+            errors.append(f"line {lineno}: [{section}] {key} = {text!r}: {exc}")
+            values[section][key] = None
 
     for section, schema in _SCHEMA.items():
         for key in schema:
-            if key not in seen[section]:
+            if key not in values[section]:
                 errors.append(f"missing key '{key}' in section [{section}]")
 
     if not errors:
-        bearing = values["bearing"]
-        if bearing["outer_radius_m"] <= bearing["inner_radius_m"]:
-            errors.append("[bearing] outer_radius_m must exceed inner_radius_m")
-        comb = values["combustor"]
-        if comb["annulus_outer_radius_m"] <= comb["annulus_inner_radius_m"]:
-            errors.append("[combustor] annulus_outer_radius_m must exceed annulus_inner_radius_m")
-        turb = values["turbine"]
-        if turb["outer_diameter_m"] <= turb["inner_diameter_m"]:
-            errors.append("[turbine] outer_diameter_m must exceed inner_diameter_m")
-        if turb["rpm_max"] < turb["rpm_min"]:
-            errors.append("[turbine] rpm_max must be >= rpm_min")
-
+        errors = _cross_field_errors(values)
     if errors:
         raise ConfigError(errors)
     digest = hashlib.sha256(config_text.encode("utf-8")).hexdigest()[:16]

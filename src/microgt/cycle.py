@@ -13,12 +13,9 @@ from dataclasses import dataclass, replace
 
 from . import gas
 from .gas import AIR, GasState, POLYNOMIAL
+from .params import ConvergenceError, bracketed_root, check, param  # noqa: F401
 
 STATION_LABELS = ("inlet", "compressor-exit", "combustor-exit", "turbine-exit")
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative temperature solve failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -26,30 +23,19 @@ class CycleDesignPoint:
     """Engine design parameters; defaults are the micro-engine targets."""
 
     ambient: GasState = GasState(AIR, 300.0, 101325.0)
-    air_mass_flow: float = 0.36e-3  # kg/s
-    pressure_ratio: float = 4.0
-    fuel_mass_flow: float = 17.0 / 3600.0 * 1e-3  # kg/s (17 g/h H2)
-    eta_compressor: float = 0.65
-    eta_turbine: float = 0.75
-    eta_combustor: float = 0.74
-    sigma_combustor: float = 0.92
-    eta_mechanical: float = 1.0
-    fuel_lhv: float = 120.0e6  # J/kg
+    air_mass_flow: float = param("air_mass_flow_kg_s", 0.36e-3, "(0, inf)")
+    pressure_ratio: float = param("pressure_ratio", 4.0, "[1, inf)")
+    # 17 g/h of H2, to the eight digits the shipped config has always had
+    fuel_mass_flow: float = param("fuel_mass_flow_kg_s", 4.7222222e-6, "[0, inf)")
+    eta_compressor: float = param("eta_compressor", 0.65, "(0, 1]")
+    eta_turbine: float = param("eta_turbine", 0.75, "(0, 1]")
+    eta_combustor: float = param("eta_combustor", 0.74, "(0, 1]")
+    sigma_combustor: float = param("sigma_combustor", 0.92, "(0, 1]")
+    eta_mechanical: float = param("eta_mechanical", 1.0, "(0, 1]")
+    fuel_lhv: float = param("fuel_lhv_j_per_kg", 120.0e6, "(0, inf)")  # J/kg
 
     def __post_init__(self):
-        for name in ("eta_compressor", "eta_turbine", "eta_combustor",
-                     "sigma_combustor", "eta_mechanical"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {value}")
-        if self.pressure_ratio < 1.0:
-            raise ValueError(f"pressure_ratio must be >= 1, got {self.pressure_ratio}")
-        if self.air_mass_flow <= 0.0:
-            raise ValueError(f"air_mass_flow must be positive, got {self.air_mass_flow}")
-        if self.fuel_mass_flow < 0.0:
-            raise ValueError(f"fuel_mass_flow must be non-negative, got {self.fuel_mass_flow}")
-        if self.fuel_lhv <= 0.0:
-            raise ValueError(f"fuel_lhv must be positive, got {self.fuel_lhv}")
+        check(self)
 
 
 @dataclass(frozen=True)
@@ -136,22 +122,19 @@ def combust(inlet: GasState, air_mass_flow: float, fuel_mass_flow: float,
         mdot_out * h(T_exit) = mdot_a * h_air(T_in) + mdot_f * h_H2(T_fuel)
                                + eta_b * mdot_f * LHV
 
-    on sensible enthalpies, by bisection over [inlet T, 3000 K].  Fuel enters
-    at fuel_temperature (defaults to the inlet temperature) fully premixed.
+    on sensible enthalpies, by a bracketed root solve on [250 K, 3000 K].
+    Fuel enters at fuel_temperature (defaults to the inlet temperature)
+    fully premixed.
     """
     phi = gas.fuel_air_mass_ratio(1.0)
     phi = (fuel_mass_flow / air_mass_flow) / phi if air_mass_flow > 0 else 0.0
-    if phi > 1.0:
-        raise gas.RichMixtureError(
-            f"fuel flow gives phi = {phi:.3f}; rich mixtures are unsupported"
-        )
     p_exit = inlet.pressure * sigma_combustor
     if fuel_mass_flow == 0.0:
         return GasState(inlet.composition, inlet.temperature, p_exit)
 
     if fuel_temperature is None:
         fuel_temperature = inlet.temperature
-    products = gas.burned_composition(phi)
+    products = gas.burned_composition(phi)  # RichMixtureError above phi = 1
     mdot_out = air_mass_flow + fuel_mass_flow
     h_in_flux = (air_mass_flow * props.sensible_enthalpy_mass(inlet.composition, inlet.temperature)
                  + fuel_mass_flow * props.sensible_enthalpy_mass(gas.PURE_H2, fuel_temperature)
@@ -161,22 +144,9 @@ def combust(inlet: GasState, air_mass_flow: float, fuel_mass_flow: float,
     def residual(t):
         return props.sensible_enthalpy_mass(products, t) - target
 
-    t_lo, t_hi = inlet.temperature, 3000.0
-    if residual(t_hi) < 0.0:
-        raise ConvergenceError(
-            f"combustor balance unsolvable below 3000 K (residual {residual(t_hi):.3e})"
-        )
-    for _ in range(200):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if residual(t_mid) > 0.0:
-            t_hi = t_mid
-        else:
-            t_lo = t_mid
-        if t_hi - t_lo < 1e-10 * t_mid:
-            break
-    t_exit = 0.5 * (t_lo + t_hi)
+    t_exit = bracketed_root(residual, gas.T_MIN, 3000.0,
+                            "combustor exit temperature")
     return GasState(products, t_exit, p_exit)
-
 
 
 def run_cycle(design: CycleDesignPoint, props=POLYNOMIAL):

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
+from .params import check, param
+
 R_UNIVERSAL = 8.314462618  # J/(mol K)
 T_REFERENCE = 298.15  # K, sensible-enthalpy datum
 
@@ -107,6 +109,7 @@ class SpeciesThermo:
 # nominal low-range floor is extended to 250 K; the fits remain smooth and
 # positive there.  High ranges are capped at 3500 K for uniformity.
 _LOW, _MID, _HIGH = 250.0, 1000.0, 3500.0
+T_MIN = _LOW  # K, floor of the tables and lower end of every temperature bracket
 
 SPECIES: Mapping[str, SpeciesThermo] = MappingProxyType({
     "N2": SpeciesThermo(
@@ -193,14 +196,11 @@ class GasState:
     """Composition plus static temperature (K) and pressure (Pa)."""
 
     composition: GasComposition
-    temperature: float  # K
-    pressure: float  # Pa
+    temperature: float = param(None, bound="(0, inf)")  # K
+    pressure: float = param(None, bound="(0, inf)")  # Pa
 
     def __post_init__(self):
-        if self.temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.pressure <= 0.0:
-            raise ValueError(f"pressure must be positive, got {self.pressure}")
+        check(self)
 
 
 def mixture_molar_mass(composition: GasComposition) -> float:
@@ -298,8 +298,6 @@ def unburned_mixture(phi: float) -> GasComposition:
 class PolynomialGas:
     """Default property model: embedded polynomial tables."""
 
-    mode = "polynomial"
-
     def cp_mass(self, composition, t):
         return cp_mass(composition, t)
 
@@ -309,10 +307,8 @@ class PolynomialGas:
     def gamma(self, composition, t):
         return gamma(composition, t)
 
-    def r_specific(self, composition):
-        return specific_gas_constant(composition)
 
-
+@dataclass(frozen=True)
 class ConstantCpGas:
     """Constant-property model: user-fixed cp (J/kg K) and gamma.
 
@@ -322,15 +318,11 @@ class ConstantCpGas:
     not affect the result.
     """
 
-    mode = "constant_cp"
+    cp: float = param("constant_cp_j_per_kg_k", 1005.0, "(0, inf)")
+    gamma_value: float = param("constant_gamma", 1.4, "(1, 5/3]")
 
-    def __init__(self, cp: float, gamma_value: float):
-        if cp <= 0.0:
-            raise ValueError(f"cp must be positive, got {cp}")
-        if not 1.0 < gamma_value <= 5.0 / 3.0:
-            raise ValueError(f"gamma must lie in (1, 5/3], got {gamma_value}")
-        self.cp = cp
-        self.gamma_value = gamma_value
+    def __post_init__(self):
+        check(self)
 
     def cp_mass(self, composition, t):
         return self.cp
@@ -340,9 +332,6 @@ class ConstantCpGas:
 
     def gamma(self, composition, t):
         return self.gamma_value
-
-    def r_specific(self, composition):
-        return self.cp * (self.gamma_value - 1.0) / self.gamma_value
 
 
 POLYNOMIAL = PolynomialGas()

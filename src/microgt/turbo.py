@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from . import gas
 from .gas import GasState
+from .params import check, param
 
 SILICON_DENSITY = 2330.0  # kg/m^3
 BLOCKAGE_FACTOR = 0.9  # flow-area fraction left open by blade thickness
@@ -23,26 +24,20 @@ GRAVITY = 9.80665  # m/s^2
 
 @dataclass(frozen=True)
 class RotorGeometry:
-    blade_count: int = 17
-    outer_diameter: float = 8.2e-3  # m
-    inner_diameter: float = 4.4e-3  # m
-    blade_height: float = 0.4e-3  # m, half of the 0.8 mm wafer
-    # Inlet metal angle matched to zero incidence for room-temperature drive
-    # air at 0.36 g/s near the 15,000 rpm test speed.
-    inlet_blade_angle: float = 68.6  # deg from radial
-    exit_blade_angle: float = -50.0  # deg from radial
+    blade_count: int = param("blade_count", 17, "[2, inf)")
+    outer_diameter: float = param("outer_diameter_m", 8.2e-3, "(0, inf)")
+    inner_diameter: float = param("inner_diameter_m", 4.4e-3, "(0, inf)")
+    # half of the 0.8 mm wafer
+    blade_height: float = param("blade_height_m", 0.4e-3, "(0, inf)")
+    # Inlet metal angle, deg from radial, matched to zero incidence for
+    # room-temperature drive air at 0.36 g/s near the 15,000 rpm test speed.
+    inlet_blade_angle: float = param("inlet_blade_angle_deg", 68.6, "(-90, 90)")
     rotor_mass: float | None = None  # kg; computed from geometry when None
 
     def __post_init__(self):
-        if not self.outer_diameter > self.inner_diameter > 0.0:
-            raise ValueError("diameters must satisfy outer > inner > 0")
-        if self.blade_count < 2:
-            raise ValueError("blade_count must be at least 2")
-        if self.blade_height <= 0.0:
-            raise ValueError("blade_height must be positive")
-        for name in ("inlet_blade_angle", "exit_blade_angle"):
-            if not -90.0 < getattr(self, name) < 90.0:
-                raise ValueError(f"{name} must lie in (-90, 90) degrees")
+        check(self)
+        if not self.outer_diameter > self.inner_diameter:
+            raise ValueError("diameters must satisfy outer > inner")
         if self.rotor_mass is None:
             object.__setattr__(self, "rotor_mass", rotor_mass_from_geometry(self))
 
@@ -57,15 +52,11 @@ class RotorGeometry:
 
 @dataclass(frozen=True)
 class StatorGeometry:
-    vane_count: int = 23
-    exit_flow_angle: float = 70.0  # deg from radial
-    exit_radius: float = 4.3e-3  # m, just outside the rotor tip
+    # deg from radial
+    exit_flow_angle: float = param("stator_exit_angle_deg", 70.0, "(0, 89)")
 
     def __post_init__(self):
-        if self.vane_count < 2:
-            raise ValueError("vane_count must be at least 2")
-        if not 0.0 < self.exit_flow_angle < 89.0:
-            raise ValueError("exit_flow_angle must lie in (0, 89) degrees")
+        check(self)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ Two stages, run once and frozen into the default config:
      prefactor A pinned for each candidate by a threshold fit that places
      the lean-blowout boundary at 0.045 g/s (phi 0.8, 1.2 mm chamber).
 
-The frozen results live in microgt.combustor (CHEM_* constants) and in the
-default scenario config.
+The frozen results are the declared defaults of microgt.combustor
+(ChemicalTimeModel and CombustorGeometry.wall_thermal_conductance), from
+which the default scenario config is rendered.
 """
 
 import math

@@ -131,3 +131,32 @@ def test_defaults_subcommand(capsys):
     assert cli.main(["defaults"]) == 0
     printed = capsys.readouterr().out
     assert printed == DEFAULT_CONFIG
+
+
+@pytest.mark.parametrize("subcommand, old, new, name", [
+    ("cycle", "air_mass_flow_kg_s = 0.00036\n", "air_mass_flow_kg_s = inf\n",
+     "[cycle] air_mass_flow_kg_s"),
+    ("bearing", "rpm = 15000.0\nambient_pressure_pa", "rpm = nan\nambient_pressure_pa",
+     "[bearing] rpm"),
+])
+def test_run_rejects_non_finite_config_value(tmp_path, capsys, subcommand, old, new, name):
+    assert old in DEFAULT_CONFIG
+    cfg = tmp_path / "cfg"
+    cfg.write_text(DEFAULT_CONFIG.replace(old, new))
+    out = tmp_path / "out"
+    assert cli.main(["run", subcommand, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert name in err and "must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, sweep, name", [
+    ("combustor", "equivalence_ratio=nan:0.5:3", "[combustor] equivalence_ratio"),
+    ("cycle", "pressure_ratio=0.5:1.0:2", "[cycle] pressure_ratio"),
+    ("bearing", "nominal_clearance_m=0:5e-6:2", "[bearing] nominal_clearance_m"),
+])
+def test_run_rejects_out_of_bound_sweep_value(tmp_path, capsys, subcommand, sweep, name):
+    out = tmp_path / "out"
+    assert cli.main(["run", subcommand, "--out", str(out), "--sweep", sweep]) == 1
+    assert name in capsys.readouterr().err
+    assert not out.exists()
