@@ -148,7 +148,7 @@ def run_combustor(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
          "chemical_time_s", "damkohler", "stable", "exit_T_K", "wall_T_K"],
         rows,
     )
-    last = cb.stability(geometry, base, chemistry)
+    last = cb.stability(geometry, base, chemistry) if sweep else result
     bundle.summary += [
         f"combustor: Da {last.damkohler:.3f} -> "
         f"{'stable' if last.stable else 'blow-out'}",
@@ -247,22 +247,30 @@ def run_bearing(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
 
 def run(subcommand: str, config: ScenarioConfig, out_dir: Path, sweep=None) -> int:
     """Execute one subcommand; writes files only after every solve succeeded."""
+    if sweep and subcommand == "all":
+        print(f"error: --sweep needs a single subcommand: {', '.join(SWEEP_KEYS)}",
+              file=sys.stderr)
+        return 2
     bundle = ReportBundle(config_hash=config.config_hash, tables={}, summary=[],
                           warnings=[])
     try:
         if subcommand in ("cycle", "all"):
-            run_cycle(config, bundle, sweep if subcommand == "cycle" else None)
+            run_cycle(config, bundle, sweep)
         if subcommand in ("combustor", "all"):
-            run_combustor(config, bundle, sweep if subcommand == "combustor" else None)
+            run_combustor(config, bundle, sweep)
         if subcommand in ("turbine", "all"):
-            run_turbine(config, bundle, sweep if subcommand == "turbine" else None)
+            run_turbine(config, bundle, sweep)
         if subcommand in ("bearing", "all"):
-            run_bearing(config, bundle, sweep if subcommand == "bearing" else None)
+            run_bearing(config, bundle, sweep)
     except ConfigError as exc:
         return _invalid(exc)
     except (br.SolverError, br.NoEquilibriumError, ConvergenceError,
             ValueError) as exc:  # gas.RichMixtureError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        history = getattr(exc, "residual_history", None)
+        if history:
+            print("residual history: " + " ".join("%.3e" % r for r in history),
+                  file=sys.stderr)
         return 2
 
     if subcommand == "all":

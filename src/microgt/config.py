@@ -108,6 +108,13 @@ def _cross_field_errors(values) -> list:
         errors.append("[bearing] outer_radius_m must exceed inner_radius_m")
     if bearing["grid_angular_nodes"] % 4 != 0:
         errors.append("[bearing] grid_angular_nodes must be a multiple of 4")
+    # mirrors run_cycle: the turbine expands (p_a * pressure_ratio) *
+    # sigma_combustor back to p_a, which cycle.expand rejects when it is less
+    p_amb = values["ambient"]["pressure_pa"]
+    cycle = values["cycle"]
+    if p_amb * cycle["pressure_ratio"] * cycle["sigma_combustor"] < p_amb:
+        errors.append("[cycle] pressure_ratio * sigma_combustor must be >= 1: "
+                      "the combustor exit would sit below ambient pressure")
     comb = values["combustor"]
     if comb["annulus_outer_radius_m"] <= comb["annulus_inner_radius_m"]:
         errors.append("[combustor] annulus_outer_radius_m must exceed annulus_inner_radius_m")

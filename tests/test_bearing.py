@@ -178,3 +178,66 @@ def test_geometry_validation():
         SpiralGrooveBearing(pump_direction="sideways")
     with pytest.raises(ValueError):
         FilmState(nominal_clearance=0.0)
+
+
+def test_colored_stencil_matches_loop_reference():
+    for n_rows, n_theta, col_stride in ((7, 12, 6), (31, 64, 8)):
+        source, target, colour, cell_colour = br._colored_stencil(n_rows, n_theta,
+                                                                  col_stride)
+        expected = []
+        for i in range(n_rows):
+            for j in range(n_theta):
+                for di in (-2, -1, 0, 1, 2):
+                    for dj in (-2, -1, 0, 1, 2):
+                        if 0 <= i + di < n_rows:
+                            expected.append((i * n_theta + j,
+                                             (i + di) * n_theta + (j + dj) % n_theta,
+                                             (i % 5) * col_stride + j % col_stride))
+        assert list(zip(source.tolist(), target.tolist(), colour.tolist())) == expected
+        assert np.array_equal(cell_colour.ravel()[source], colour)
+        # each residual is reached at most once per colour
+        pairs = target.astype(np.int64) * (5 * col_stride) + colour
+        assert np.unique(pairs).size == pairs.size
+
+
+# Loads at 33x64 from the solver that factored with SuperLU's default column
+# ordering and partial pivoting: (clearance m, rpm, pump-in load N, pump-out
+# load N), at Lambda of about 0.1, 3 and 30.
+REFERENCE_LOADS_33x64 = [
+    (5.0e-6, 4500.0, 0.0004069371449740163, -0.00040691834718824575),
+    (5.0e-6, 135000.0, 0.012213157148867889, -0.012196159853943074),
+    (1.5e-6, 121500.0, 0.028278578460010532, -0.02773603297574397),
+]
+
+
+@pytest.mark.parametrize("clearance, rpm, load_in, load_out", REFERENCE_LOADS_33x64)
+def test_loads_match_reference_solver(clearance, rpm, load_in, load_out):
+    film = FilmState(nominal_clearance=clearance, rpm=rpm)
+    for pump, expected in (("pump-in", load_in), ("pump-out", load_out)):
+        load = br.solve_load(SpiralGrooveBearing(pump_direction=pump), film, 33, 64)
+        assert load == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("pump", ["pump-in", "pump-out"])
+def test_newton_step_matches_dense_solve(monkeypatch, pump):
+    # threshold pivoting must not cost accuracy at the stiffest point
+    film = FilmState(nominal_clearance=1.5e-6, rpm=121500.0)
+    assert br.compressibility_number(BEARING, film) == pytest.approx(30.0, rel=0.01)
+    errors = []
+    factor = br.splu
+
+    def checked_splu(jac, **options):
+        lu = factor(jac, **options)
+        dense = jac.toarray()
+
+        class Checked:
+            def solve(self, rhs):
+                step = lu.solve(rhs)
+                exact = np.linalg.solve(dense, rhs)
+                errors.append(np.linalg.norm(step - exact) / np.linalg.norm(exact))
+                return step
+        return Checked()
+
+    monkeypatch.setattr(br, "splu", checked_splu)
+    br.solve_load(SpiralGrooveBearing(pump_direction=pump), film, 33, 64)
+    assert errors and max(errors) < 1e-10

@@ -1,6 +1,10 @@
+import math
+from dataclasses import replace
+
 import pytest
 
-from microgt import cli
+from microgt import bearing as br
+from microgt import cli, cycle
 from microgt.config import ConfigError, DEFAULT_CONFIG, default_config, validate
 
 
@@ -160,3 +164,64 @@ def test_run_rejects_out_of_bound_sweep_value(tmp_path, capsys, subcommand, swee
     assert cli.main(["run", subcommand, "--out", str(out), "--sweep", sweep]) == 1
     assert name in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_all_rejects_sweep(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "all", "--out", str(out),
+                     "--sweep", "bogus_key=1:2:3"]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in ("cycle", "combustor", "turbine", "bearing"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", ["config", "sweep"])
+def test_run_rejects_sub_ambient_combustor_exit(tmp_path, capsys, path):
+    # pressure_ratio 1.05 with sigma_combustor 0.92 leaves the combustor
+    # exit below ambient pressure
+    out = tmp_path / "out"
+    if path == "config":
+        cfg = tmp_path / "cfg"
+        cfg.write_text(DEFAULT_CONFIG.replace("pressure_ratio = 4.0", "pressure_ratio = 1.05"))
+        args = ["--config", str(cfg)]
+    else:
+        args = ["--sweep", "pressure_ratio=1.0:1.05:2"]
+    assert cli.main(["run", "cycle", "--out", str(out)] + args) == 1
+    assert "[cycle] pressure_ratio" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", [0.92, 0.7, 1.0])
+def test_sub_ambient_check_matches_cycle_expand(sigma):
+    # validation accepts exactly the ratios whose combustor exit the turbine
+    # can expand to ambient, the equality edge and rounding included
+    config = default_config().with_value("cycle", "sigma_combustor", sigma)
+    edge = 1.0 / sigma
+    ratios = [edge]
+    for _ in range(3):
+        ratios = [math.nextafter(ratios[0], 0.0)] + ratios + [math.nextafter(ratios[-1], 2.0)]
+    for ratio in (r for r in ratios if r >= 1.0):
+        try:
+            design = config.with_value("cycle", "pressure_ratio", ratio).cycle_design
+            accepted = True
+        except ConfigError:
+            design = replace(config.cycle_design, pressure_ratio=ratio)
+            accepted = False
+        try:
+            cycle.run_cycle(design)
+            expands = True
+        except ValueError as exc:
+            assert "exceeds inlet pressure" in str(exc)
+            expands = False
+        assert accepted == expands, ratio
+
+
+def test_run_prints_residual_history_on_solver_error(tmp_path, capsys, monkeypatch):
+    def failing_solve(*args, **kwargs):
+        raise br.SolverError("line search stalled at iteration 1", [1.0, 0.5])
+
+    monkeypatch.setattr(br, "solve_reynolds", failing_solve)
+    assert cli.main(["run", "bearing", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "line search stalled" in err
+    assert "residual history: 1.000e+00 5.000e-01" in err
