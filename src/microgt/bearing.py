@@ -22,9 +22,15 @@ the Couette drive weighted by sum(L/h^2)/sum(L/h^3) - the flux-conserving
 multiple of four times the groove count the edges coincide with faces, the
 coefficients are exact, and the observed convergence is second order.
 The nonlinear system (the Couette term carries sqrt(q)) is solved by damped
-Newton iteration.  The colored finite-difference sparse Jacobian is gathered
-in one pass and factored by SuperLU with minimum-degree ordering on A^T + A
-in symmetric mode, since the stencil is structurally symmetric.
+Newton iteration.  The sparse Jacobian comes from colored finite differences
+(Curtis, Powell and Reid, 1974): the periodic columns are coloured in blocks
+of five and six, so 30 colours (25 when n_theta is a multiple of five) cover
+the 5 x 5 residual stencil, and the residual is evaluated once per block of
+colours on a batch of perturbed fields.  Each entry reads only its own
+stencil, so the batching leaves every Jacobian value bit-identical to one
+residual call per colour.  The Jacobian is gathered in one pass and factored
+by SuperLU with minimum-degree ordering on A^T + A in symmetric mode, since
+the stencil is structurally symmetric.
 
 The narrow-groove (infinite-groove-number) reference evaluates the
 classical effective-medium solution in the incompressible limit and serves
@@ -46,6 +52,13 @@ from .params import check, param
 AIR_VISCOSITY = 1.85e-5  # Pa s, room-temperature film
 MIN_RADIAL_NODES = 33  # 32 radial intervals
 MIN_ANGULAR_NODES = 64
+# Largest compressibility number of the verification battery; runs beyond it
+# are reported as outside the verified range.
+MAX_VERIFIED_LAMBDA = 30.0
+# Grid cells per batched residual call of the colour sweep: 2**15 float64
+# cells keep each temporary near 256 KB, in cache.  Larger blocks raised the
+# peak memory by megabytes and ran slower.
+JACOBIAN_BLOCK_CELLS = 2 ** 15
 
 
 class SolverError(RuntimeError):
@@ -169,13 +182,22 @@ def compressibility_number(bearing: SpiralGrooveBearing, film: FilmState) -> flo
             / (film.ambient_pressure * film.nominal_clearance ** 2))
 
 
-def _colored_stencil(n_rows: int, n_theta: int, col_stride: int):
+def _colored_stencil(n_rows: int, n_theta: int):
     """int32 (source, target, colour) of every entry of the 5 x 5 periodic
     residual stencil, as flat cell indices, and each cell's colour; no two
-    cells of one colour reach a common residual."""
+    cells of one colour reach a common residual.
+
+    Rows take five colours; the periodic columns are split into blocks of
+    six and then of five cells, coloured by position in the block, so two
+    columns of one colour are at least five apart.  Such a split exists for
+    every n_theta >= 20, which MIN_ANGULAR_NODES guarantees; it needs 30
+    colours, or 25 when n_theta is a multiple of five.
+    """
     cell = np.arange(n_rows * n_theta, dtype=np.int32)
     i, j = np.divmod(cell, n_theta)
-    colour = (i % 5) * col_stride + j % col_stride
+    six_wide = 6 * (n_theta % 5)  # columns in blocks of six
+    col_colours = 6 if six_wide else 5
+    colour = (i % 5) * col_colours + np.where(j < six_wide, j % 6, (j - six_wide) % 5)
     d_i, d_j = np.divmod(np.arange(25, dtype=np.int32), 5)
     t_i = i[:, None] + d_i - 2
     keep = (t_i >= 0) & (t_i < n_rows)
@@ -270,22 +292,20 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
     def side_means(field):
         """Per-face means of a node field over the left/right path sides.
 
-        field has shape (rows, n_theta); returns (m_left, m_right) of the
-        same shape.  Kink-free faces use the linear interpolant between the
-        two nodes; kinked faces extrapolate from inside each strip.
+        field has shape (..., rows, n_theta); returns (m_left, m_right) of
+        the same shape.  Kink-free faces use the linear interpolant between
+        the two nodes; kinked faces extrapolate from inside each strip.
         """
         g_b = field
-        g_a = np.roll(field, 1, 1)
-        slope_l = np.where(valid_left[None, :],
-                           (g_a - np.roll(field, 2, 1)) / dv, 0.0)
-        slope_r = np.where(valid_right[None, :],
-                           (np.roll(field, -1, 1) - g_b) / dv, 0.0)
-        m_l_kink = g_a + 0.5 * slope_l * len_left[None, :]
-        m_r_kink = g_b - 0.5 * slope_r * len_right[None, :]
+        g_a = np.roll(field, 1, -1)
+        slope_l = np.where(valid_left, (g_a - np.roll(field, 2, -1)) / dv, 0.0)
+        slope_r = np.where(valid_right, (np.roll(field, -1, -1) - g_b) / dv, 0.0)
+        m_l_kink = g_a + 0.5 * slope_l * len_left
+        m_r_kink = g_b - 0.5 * slope_r * len_right
         m_l_plain = 0.75 * g_a + 0.25 * g_b
         m_r_plain = 0.25 * g_a + 0.75 * g_b
-        m_l = np.where(kinked[None, :], m_l_kink, m_l_plain)
-        m_r = np.where(kinked[None, :], m_r_kink, m_r_plain)
+        m_l = np.where(kinked, m_l_kink, m_l_plain)
+        m_r = np.where(kinked, m_r_kink, m_r_plain)
         return m_l, m_r
 
     # exp(2u) integrated over each interior row's control span, and nodal /
@@ -308,7 +328,7 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
         return q
 
     def fluxes(q):
-        """Residual of every interior cell plus the per-node scale.
+        """Residual of every interior cell, for q of shape (..., n_r, n_theta).
 
         v-face fluxes F_B are composed exactly over the land/groove path
         segments.  The u-face flux F_A needs the cross derivative dvQ,
@@ -317,81 +337,87 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
         F_A = D duQ / (2 (1+s^2)) - s/(1+s^2) (F_B + Lam exp(2u) P H).
         """
         p_nodes = np.sqrt(q)
-        dq_all = q - np.roll(q, 1, 1)
+        dq_all = q - np.roll(q, 1, -1)
         # d/du of the path integral of Q (for the cross term): central at
         # interior rows, one-sided second order at the boundary rows.
         m_l_q, m_r_q = side_means(q)
-        i_q = len_left[None, :] * m_l_q + len_right[None, :] * m_r_q
+        i_q = len_left * m_l_q + len_right * m_r_q
         di_q = np.empty_like(i_q)
-        di_q[1:-1, :] = (i_q[2:, :] - i_q[:-2, :]) / (2.0 * du)
-        di_q[0, :] = (-3.0 * i_q[0, :] + 4.0 * i_q[1, :] - i_q[2, :]) / (2.0 * du)
-        di_q[-1, :] = (3.0 * i_q[-1, :] - 4.0 * i_q[-2, :] + i_q[-3, :]) / (2.0 * du)
+        di_q[..., 1:-1, :] = (i_q[..., 2:, :] - i_q[..., :-2, :]) / (2.0 * du)
+        di_q[..., 0, :] = (-3.0 * i_q[..., 0, :] + 4.0 * i_q[..., 1, :]
+                           - i_q[..., 2, :]) / (2.0 * du)
+        di_q[..., -1, :] = (3.0 * i_q[..., -1, :] - 4.0 * i_q[..., -2, :]
+                            + i_q[..., -3, :]) / (2.0 * du)
         # Couette path sum of P / h^2
         m_l_p, m_r_p = side_means(p_nodes)
-        sp = inv_h2_left[None, :] * m_l_p + inv_h2_right[None, :] * m_r_p
+        sp = inv_h2_left * m_l_p + inv_h2_right * m_r_p
 
         # Pointwise v-face flux F_B at every node row (continuous in v).
         fb_rows = (0.5 * one_plus_s2 * dq_all - 0.5 * s * di_q
-                   - lam * e_nodes[:, None] * sp) / s3[None, :]
+                   - lam * e_nodes[:, None] * sp) / s3
 
         # u-face flux with the cross term eliminated via F_B.
-        fb_at_nodes = 0.5 * (fb_rows + np.roll(fb_rows, -1, 1))
-        fb_uface = 0.5 * (fb_at_nodes[:-1, :] + fb_at_nodes[1:, :])
-        p_uface = 0.5 * (p_nodes[:-1, :] + p_nodes[1:, :])
-        fa = (d_col[None, :] * (q[1:, :] - q[:-1, :]) / (2.0 * one_plus_s2 * du)
+        fb_at_nodes = 0.5 * (fb_rows + np.roll(fb_rows, -1, -1))
+        fb_uface = 0.5 * (fb_at_nodes[..., :-1, :] + fb_at_nodes[..., 1:, :])
+        p_uface = 0.5 * (p_nodes[..., :-1, :] + p_nodes[..., 1:, :])
+        fa = (d_col * (q[..., 1:, :] - q[..., :-1, :]) / (2.0 * one_plus_s2 * du)
               - (s / one_plus_s2)
-              * (fb_uface + lam * e_face[:, None] * p_uface * h_col[None, :]))
-        fu_diff = dv * (fa[1:, :] - fa[:-1, :])
+              * (fb_uface + lam * e_face[:, None] * p_uface * h_col))
+        fu_diff = dv * (fa[..., 1:, :] - fa[..., :-1, :])
 
         # Cell-integrated v-face fluxes for the interior control volumes.
-        fv = (du * (0.5 * one_plus_s2 * dq_all[1:-1, :]
-                    - 0.5 * s * di_q[1:-1, :])
-              - lam * e_cell[:, None] * sp[1:-1, :]) / s3[None, :]
-        fv_diff = np.roll(fv, -1, 1) - fv
+        fv = (du * (0.5 * one_plus_s2 * dq_all[..., 1:-1, :]
+                    - 0.5 * s * di_q[..., 1:-1, :])
+              - lam * e_cell[:, None] * sp[..., 1:-1, :]) / s3
+        fv_diff = np.roll(fv, -1, -1) - fv
 
-        residual = fu_diff + fv_diff
-        scale = (2.0 * dv * d_col[None, :] / (one_plus_s2 * du)
-                 + 2.0 * dv * abs(s) / one_plus_s2
-                 * (1.0 + abs(lam) * e_cell[:, None] / du * h_col[None, :])
-                 + du * one_plus_s2 * (1.0 / s3 + 1.0 / np.roll(s3, -1))[None, :]
-                 + abs(lam) * e_cell[:, None]
-                 * ((inv_h2_left + inv_h2_right) / s3
-                    + np.roll((inv_h2_left + inv_h2_right) / s3, -1))[None, :]
-                 + 0.5 * abs(s) * dv
-                 * (1.0 / s3 + 1.0 / np.roll(s3, -1))[None, :])
-        return residual, scale
+        return fu_diff + fv_diff
 
-    # Residual stencil reach: two rows and two columns each way.  Colored
-    # finite differences need a column stride of at least five that divides
-    # the periodic direction.
-    col_stride = next(c for c in range(5, n_theta + 1) if n_theta % c == 0)
-    source, target, entry_colour, colour = _colored_stencil(n_rows, n_theta, col_stride)
+    # Per-node magnitude of the flux terms, the yardstick of convergence.
+    scale = (2.0 * dv * d_col[None, :] / (one_plus_s2 * du)
+             + 2.0 * dv * abs(s) / one_plus_s2
+             * (1.0 + abs(lam) * e_cell[:, None] / du * h_col[None, :])
+             + du * one_plus_s2 * (1.0 / s3 + 1.0 / np.roll(s3, -1))[None, :]
+             + abs(lam) * e_cell[:, None]
+             * ((inv_h2_left + inv_h2_right) / s3
+                + np.roll((inv_h2_left + inv_h2_right) / s3, -1))[None, :]
+             + 0.5 * abs(s) * dv
+             * (1.0 / s3 + 1.0 / np.roll(s3, -1))[None, :])
 
-    def jacobian(q):
-        """Colored finite-difference Jacobian of the residual, CSC."""
-        base, _ = fluxes(q)
+    # Colored finite differences: the residual stencil reaches two rows and
+    # two columns each way, and no stencil holds two cells of one colour.
+    # The boundary rows carry no colour.
+    source, target, entry_colour, colour = _colored_stencil(n_rows, n_theta)
+    n_colours = int(colour.max()) + 1
+    node_colour = np.pad(colour, ((1, 1), (0, 0)), constant_values=-1)
+    block = max(1, JACOBIAN_BLOCK_CELLS // (n_r * n_theta))
+
+    def jacobian(q, base):
+        """Colored finite-difference Jacobian of the residual at the full
+        field q, whose residual is base; CSC."""
         eps = 1.0e-7
-        delta = np.empty((5 * col_stride, n_unknown))
-        for c in range(5 * col_stride):
-            q_pert = q.copy()
-            q_pert[1:-1, :][colour == c] += eps
-            pert, _ = fluxes(q_pert)
-            delta[c] = ((pert - base) / eps).ravel()
+        delta = np.empty((n_colours, n_unknown))
+        for c in range(0, n_colours, block):
+            colours = np.arange(c, min(c + block, n_colours))
+            # one perturbed copy of q per colour; adding 0.0 leaves a cell as is
+            q_pert = q + np.where(node_colour == colours[:, None, None], eps, 0.0)
+            delta[c:c + colours.size] = ((fluxes(q_pert) - base) / eps
+                                         ).reshape(colours.size, n_unknown)
         vals = delta[entry_colour, target]
         nz = vals != 0.0
         return csc_matrix((vals[nz], (target[nz], source[nz])),
                           shape=(n_unknown, n_unknown))
 
     q_int = np.ones((n_rows, n_theta))
+    f = fluxes(full_field(q_int))
     history = []
     for iteration in range(max_iterations):
-        f, scale = fluxes(full_field(q_int))
         res = float(np.max(np.abs(f) / scale))
         history.append(res)
         if res < tolerance:
             break
         # One expression, so the factor and the Jacobian are freed at once.
-        step = splu(jacobian(full_field(q_int)), permc_spec="MMD_AT_PLUS_A",
+        step = splu(jacobian(full_field(q_int), f), permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.1, options={"SymmetricMode": True}
                     ).solve(-f.ravel()).reshape(n_rows, n_theta)
         norm0 = float(np.linalg.norm(f))
@@ -401,14 +427,14 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
             if np.min(trial) <= 0.01:
                 alpha *= 0.5
                 continue
-            f_trial, _ = fluxes(full_field(trial))
+            f_trial = fluxes(full_field(trial))
             if float(np.linalg.norm(f_trial)) <= (1.0 - 1e-4 * alpha) * norm0:
                 break
             alpha *= 0.5
         else:
             raise SolverError(
                 f"line search stalled at iteration {iteration}", history)
-        q_int = q_int + alpha * step
+        q_int, f = trial, f_trial
     else:
         raise SolverError(
             f"Newton did not reach residual {tolerance:g} in {max_iterations} "

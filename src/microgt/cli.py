@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import bearing as br
@@ -220,9 +220,22 @@ def run_bearing(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
                          field.pressures[i, j]])
     bundle.tables["field.csv"] = (["r_m", "theta_rad", "p_Pa"], rows)
 
+    def check_regime(face, f):
+        lam = abs(br.compressibility_number(face, f))
+        if lam > br.MAX_VERIFIED_LAMBDA:
+            bundle.warnings.append(
+                f"bearing: compressibility number {lam:.1f} at "
+                f"{f.nominal_clearance * 1e6:.2f} um clearance is above "
+                f"{br.MAX_VERIFIED_LAMBDA:g}, outside the verified range")
+
+    check_regime(top, film)
     load_rows = []
     for f in films:
-        load = br.solve_load(top, f, n_r, n_theta)
+        if f == film:  # solved above for field.csv
+            load = br.load_capacity(field)
+        else:
+            check_regime(top, f)
+            load = br.solve_load(top, f, n_r, n_theta)
         stiff = br.axial_stiffness(top, f, n_r, n_theta)
         load_rows.append([f.nominal_clearance, f.rpm, load, stiff])
     bundle.tables["loadmap.csv"] = (
@@ -238,6 +251,8 @@ def run_bearing(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
     except br.NoEquilibriumError as exc:
         bundle.summary.append(f"bearing: axial equilibrium clearances not found ({exc})")
         return None
+    check_regime(top, replace(film, nominal_clearance=equilibrium.top_clearance))
+    check_regime(bottom, replace(film, nominal_clearance=equilibrium.bottom_clearance))
     bundle.summary.append(
         f"bearing: axial equilibrium clearances top {equilibrium.top_clearance * 1e6:.2f} um / "
         f"bottom {equilibrium.bottom_clearance * 1e6:.2f} um "
@@ -288,7 +303,8 @@ def run(subcommand: str, config: ScenarioConfig, out_dir: Path, sweep=None) -> i
                 path.write_text(_csv(header, rows))
                 written.append(path)
             summary = out_dir / "summary.txt"
-            lines = [f"config_hash: {bundle.config_hash}"] + bundle.summary
+            lines = ([f"config_hash: {bundle.config_hash}"] + bundle.summary
+                     + [f"warning: {w}" for w in bundle.warnings])
             summary.write_text("\n".join(lines) + "\n")
             written.append(summary)
         except OSError:
@@ -301,6 +317,8 @@ def run(subcommand: str, config: ScenarioConfig, out_dir: Path, sweep=None) -> i
 
     for line in bundle.summary:
         print(line)
+    for warning in bundle.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     return 0
 
 

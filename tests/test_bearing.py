@@ -181,22 +181,29 @@ def test_geometry_validation():
 
 
 def test_colored_stencil_matches_loop_reference():
-    for n_rows, n_theta, col_stride in ((7, 12, 6), (31, 64, 8)):
-        source, target, colour, cell_colour = br._colored_stencil(n_rows, n_theta,
-                                                                  col_stride)
+    """Columns are coloured in blocks of six, then of five: 30 colours, or 25
+    when n_theta is a multiple of five.  Every n_theta >= 20 splits that way,
+    and MIN_ANGULAR_NODES keeps the solver's grids above it."""
+    assert br.MIN_ANGULAR_NODES >= 20
+    for n_rows, n_theta, n_colours in ((7, 20, 25), (7, 23, 30), (31, 64, 30),
+                                       (31, 80, 25), (31, 96, 30), (31, 192, 30)):
+        source, target, colour, cell_colour = br._colored_stencil(n_rows, n_theta)
+        six_wide = 6 * (n_theta % 5)
         expected = []
         for i in range(n_rows):
             for j in range(n_theta):
+                col = j % 6 if j < six_wide else (j - six_wide) % 5
                 for di in (-2, -1, 0, 1, 2):
                     for dj in (-2, -1, 0, 1, 2):
                         if 0 <= i + di < n_rows:
                             expected.append((i * n_theta + j,
                                              (i + di) * n_theta + (j + dj) % n_theta,
-                                             (i % 5) * col_stride + j % col_stride))
+                                             (i % 5) * (n_colours // 5) + col))
         assert list(zip(source.tolist(), target.tolist(), colour.tolist())) == expected
         assert np.array_equal(cell_colour.ravel()[source], colour)
+        assert np.unique(cell_colour).tolist() == list(range(n_colours))
         # each residual is reached at most once per colour
-        pairs = target.astype(np.int64) * (5 * col_stride) + colour
+        pairs = target.astype(np.int64) * n_colours + colour
         assert np.unique(pairs).size == pairs.size
 
 
@@ -215,6 +222,32 @@ def test_loads_match_reference_solver(clearance, rpm, load_in, load_out):
     film = FilmState(nominal_clearance=clearance, rpm=rpm)
     for pump, expected in (("pump-in", load_in), ("pump-out", load_out)):
         load = br.solve_load(SpiralGrooveBearing(pump_direction=pump), film, 33, 64)
+        assert load == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+# Loads from the solver that made one residual call per colour, with 40
+# colours at n_theta = 64 and 128 and 5 * (smallest divisor >= 5) elsewhere:
+# (n_r, n_theta, clearance m, rpm, pump-in load N, pump-out load N), at Lambda
+# of about 3 and 30.  33x80 takes 25 colours, 65x96 five colours per batched
+# residual call and 129x192 one.
+REFERENCE_LOADS_BATCHED = [
+    (33, 80, 5.0e-6, 135000.0, 0.012031009032490755, -0.012016388420246356),
+    (33, 80, 1.5e-6, 121500.0, 0.027565257056352106, -0.02703549354936073),
+    (65, 96, 5.0e-6, 135000.0, 0.012376309521396811, -0.012360597146544302),
+    (65, 96, 1.5e-6, 121500.0, 0.028176263607416183, -0.02761810145333089),
+    (129, 192, 5.0e-6, 135000.0, 0.012189828804544564, -0.012177486595086485),
+    (129, 192, 1.5e-6, 121500.0, 0.027670575037227252, -0.027135335371913916),
+]
+
+
+@pytest.mark.parametrize("n_r, n_theta, clearance, rpm, load_in, load_out",
+                         REFERENCE_LOADS_BATCHED)
+def test_batched_colour_sweep_keeps_loads(n_r, n_theta, clearance, rpm, load_in,
+                                          load_out):
+    film = FilmState(nominal_clearance=clearance, rpm=rpm)
+    for pump, expected in (("pump-in", load_in), ("pump-out", load_out)):
+        load = br.solve_load(SpiralGrooveBearing(pump_direction=pump), film,
+                             n_r, n_theta)
         assert load == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 

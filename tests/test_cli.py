@@ -90,9 +90,46 @@ def test_run_all_cross_summary(tmp_path):
     assert "phi = 0.45" in summary or "phi = 0.4498" in summary
     assert "zero-incidence" in summary
     assert "equilibrium clearances" in summary
+    assert "warning:" not in summary  # the defaults stay in the verified range
     for name in ("stations.csv", "performance.csv", "combustor.csv",
                  "operating_line.csv", "field.csv", "loadmap.csv"):
         assert (out / name).exists()
+
+
+def test_run_bearing_solves_each_film_once(tmp_path, monkeypatch):
+    """The nominal film's load comes from the field solve, so no (face, film,
+    grid) is solved twice, and loadmap.csv matches a fresh solve of it."""
+    calls = []
+    solve = br.solve_reynolds
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(br, "solve_reynolds", counted)
+    out = tmp_path / "out"
+    assert cli.main(["run", "bearing", "--out", str(out)]) == 0
+    monkeypatch.undo()
+    config = default_config()
+    top, film = config.bearing_face("top"), config.film_state
+    assert calls.count((top, film, 65, 96)) == 1
+    assert len(set(calls)) == len(calls)
+    row = [film.nominal_clearance, film.rpm, br.solve_load(top, film, 65, 96),
+           br.axial_stiffness(top, film, 65, 96)]
+    assert (out / "loadmap.csv").read_text() == cli._csv(
+        ["clearance_m", "rpm", "load_N", "stiffness_N_per_m"], [row])
+
+
+def test_run_bearing_warns_outside_verified_lambda(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(DEFAULT_CONFIG.replace("nominal_clearance_m = 5e-06",
+                                          "nominal_clearance_m = 5e-07"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "bearing", "--config", str(cfg), "--out", str(out)]) == 0
+    warning = ("warning: bearing: compressibility number 33.3 at 0.50 um "
+               "clearance is above 30, outside the verified range")
+    assert (out / "summary.txt").read_text().splitlines()[-1] == warning
+    assert capsys.readouterr().err.splitlines() == [warning]
 
 
 def test_run_all_deterministic(tmp_path):
