@@ -55,6 +55,12 @@ MIN_ANGULAR_NODES = 64
 # Largest compressibility number of the verification battery; runs beyond it
 # are reported as outside the verified range.
 MAX_VERIFIED_LAMBDA = 30.0
+# Narrower stripes (see stripe_cells) can put two groove edges on one v-face
+# path, where the edge treatment falls back to first order.
+MIN_STRIPE_CELLS = 1.0
+NEWTON_TOLERANCE = 1.0e-9  # see solve_reynolds
+NEWTON_MAX_ITERATIONS = 60
+EQUILIBRIUM_GRID = (33, 64)  # (n_r, n_theta) of every axial_equilibrium solve
 # Grid cells per batched residual call of the colour sweep: 2**15 float64
 # cells keep each temporary near 256 KB, in cache.  Larger blocks raised the
 # peak memory by megabytes and ran slower.
@@ -182,6 +188,13 @@ def compressibility_number(bearing: SpiralGrooveBearing, film: FilmState) -> flo
             / (film.ambient_pressure * film.nominal_clearance ** 2))
 
 
+def stripe_cells(bearing: SpiralGrooveBearing, n_theta: int) -> float:
+    """Angular cells of an n_theta grid across the narrowest groove or land
+    stripe."""
+    a = bearing.groove_width_fraction
+    return min(a, 1.0 - a) * n_theta / bearing.groove_count
+
+
 def _colored_stencil(n_rows: int, n_theta: int):
     """int32 (source, target, colour) of every entry of the 5 x 5 periodic
     residual stencil, as flat cell indices, and each cell's colour; no two
@@ -208,17 +221,16 @@ def _colored_stencil(n_rows: int, n_theta: int):
 
 
 def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
-                   n_r: int = 65, n_theta: int = 96,
-                   tolerance: float = 1.0e-9, max_iterations: int = 60) -> PressureField:
+                   n_r: int, n_theta: int) -> PressureField:
     """Solve the steady compressible Reynolds equation on an n_r x n_theta grid.
 
     n_r counts radial node rows (including the two ambient boundary rows);
     n_theta counts angular cells.  For exactly face-aligned groove edges use
     an n_theta that is a multiple of four times the groove count.  A damped
-    Newton iteration drives every node's residual below `tolerance` relative
-    to the magnitude of that node's flux terms; steps are halved while they
-    push the squared pressure below (0.1 ambient)^2 or fail to reduce the
-    residual norm.
+    Newton iteration drives every node's residual below NEWTON_TOLERANCE
+    relative to the magnitude of that node's flux terms; steps are halved
+    while they push the squared pressure below (0.1 ambient)^2 or fail to
+    reduce the residual norm.
     """
     if n_r < MIN_RADIAL_NODES or n_theta < MIN_ANGULAR_NODES:
         raise ValueError(
@@ -244,10 +256,7 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
     h_groove = (clearance + bearing.groove_depth) / clearance
 
     # Column film values (strips are v = const bands).
-    a_frac = bearing.groove_width_fraction
-    n_g = bearing.groove_count
-    col_in_groove = np.mod(v_nodes * n_g / (2.0 * math.pi) + 0.5 * a_frac,
-                           1.0) < a_frac
+    col_in_groove = in_groove(bearing, bearing.inner_radius, v_nodes)
     h_col = np.where(col_in_groove, h_groove, h_land)
     d_col = h_col ** 3
 
@@ -256,30 +265,23 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
     # known analytically.  Each side's film value and length feed the exact
     # series composites; field means over each side come from within-strip
     # linear reconstruction so that the composites stay second-order
-    # accurate across the film step.
+    # accurate across the film step.  In stripe units y the edges sit at the
+    # integers and at the integers plus a_frac, in ascending order.
     h_left_col = np.roll(h_col, 1)  # film at node j-1 for face j
     h_right_col = h_col
-    len_left = np.full(n_theta, 0.5 * dv)
-    len_right = np.full(n_theta, 0.5 * dv)
-    scale_y = n_g / (2.0 * math.pi)
-    for j in range(n_theta):
-        v_a = (j - 0.5) * dv
-        v_b = (j + 0.5) * dv
-        y_a = v_a * scale_y + 0.5 * a_frac
-        y_b = v_b * scale_y + 0.5 * a_frac
-        edges = []
-        m = math.floor(y_a)
-        while m <= y_b + 1.0:
-            for cand in (float(m), m + a_frac):
-                if y_a < cand < y_b:
-                    edges.append(cand)
-            m += 1
-        if len(edges) == 1:
-            v_e = (edges[0] - 0.5 * a_frac) / scale_y
-            len_left[j] = v_e - v_a
-            len_right[j] = v_b - v_e
-        # 0 edges: uniform path; >1 edges (under-resolved stripes): keep the
-        # midpoint split, which degrades gracefully to first order.
+    a_frac = bearing.groove_width_fraction
+    scale_y = bearing.groove_count / (2.0 * math.pi)
+    v_ends = (np.arange(n_theta + 1) - 0.5) * dv  # face j spans v_ends[j:j+2]
+    y_ends = v_ends * scale_y + 0.5 * a_frac
+    m = np.arange(math.floor(y_ends[0]), math.floor(y_ends[-1]) + 2, dtype=float)
+    y_edges = np.column_stack((m, m + a_frac)).ravel()
+    first = np.searchsorted(y_edges, y_ends[:-1], side="right")
+    one_edge = np.searchsorted(y_edges, y_ends[1:], side="left") - first == 1
+    v_e = (y_edges[first] - 0.5 * a_frac) / scale_y
+    # 0 edges: uniform path; >1 edges (under-resolved stripes): keep the
+    # midpoint split, which degrades gracefully to first order.
+    len_left = np.where(one_edge, v_e - v_ends[:-1], 0.5 * dv)
+    len_right = np.where(one_edge, v_ends[1:] - v_e, 0.5 * dv)
     s3 = len_left / h_left_col ** 3 + len_right / h_right_col ** 3
     inv_h2_left = len_left / h_left_col ** 2
     inv_h2_right = len_right / h_right_col ** 2
@@ -411,10 +413,10 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
     q_int = np.ones((n_rows, n_theta))
     f = fluxes(full_field(q_int))
     history = []
-    for iteration in range(max_iterations):
+    for iteration in range(NEWTON_MAX_ITERATIONS):
         res = float(np.max(np.abs(f) / scale))
         history.append(res)
-        if res < tolerance:
+        if res < NEWTON_TOLERANCE:
             break
         # One expression, so the factor and the Jacobian are freed at once.
         step = splu(jacobian(full_field(q_int), f), permc_spec="MMD_AT_PLUS_A",
@@ -437,8 +439,8 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
         q_int, f = trial, f_trial
     else:
         raise SolverError(
-            f"Newton did not reach residual {tolerance:g} in {max_iterations} "
-            f"iterations (last {history[-1]:.3e})", history)
+            f"Newton did not reach residual {NEWTON_TOLERANCE:g} in "
+            f"{NEWTON_MAX_ITERATIONS} iterations (last {history[-1]:.3e})", history)
 
     pressures = np.sqrt(full_field(q_int)) * p_amb
     radii = bearing.inner_radius * np.exp(u_nodes)
@@ -477,7 +479,7 @@ def load_capacity(field: PressureField) -> float:
 
 
 def solve_load(bearing: SpiralGrooveBearing, film: FilmState,
-               n_r: int = 65, n_theta: int = 96) -> float:
+               n_r: int, n_theta: int) -> float:
     """Convenience: solve and integrate the load, N."""
     return load_capacity(solve_reynolds(bearing, film, n_r, n_theta))
 
@@ -521,8 +523,7 @@ def narrow_groove_reference(bearing: SpiralGrooveBearing, film: FilmState) -> fl
 
 
 def axial_stiffness(bearing: SpiralGrooveBearing, film: FilmState,
-                    n_r: int = 65, n_theta: int = 96,
-                    relative_step: float = 1.0e-3) -> float:
+                    n_r: int, n_theta: int, relative_step: float = 1.0e-3) -> float:
     """Central-difference stiffness -dW/dc, N/m (positive = restoring)."""
     dc = relative_step * film.nominal_clearance
     load_hi = solve_load(bearing, replace(film, nominal_clearance=film.nominal_clearance + dc),
@@ -536,7 +537,6 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
                       total_gap: float, external_load: float, rpm: float,
                       ambient_pressure: float = 101325.0,
                       viscosity: float = AIR_VISCOSITY,
-                      n_r: int = 33, n_theta: int = 64,
                       load_tolerance: float = 1.0e-6,
                       scan_points: int = 48) -> AxialEquilibrium:
     """Clearance split where the top/bottom load difference balances an
@@ -549,7 +549,8 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     against the pair, e.g. drive-gas lift of magnitude rotor weight).
 
     Scans c_top for a sign change of the imbalance, then bisects to
-    |net_load - external_load| <= load_tolerance.
+    |net_load - external_load| <= load_tolerance.  Every film is solved on
+    EQUILIBRIUM_GRID.
     """
     if total_gap <= 0.0:
         raise ValueError("total_gap must be positive")
@@ -557,8 +558,8 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     def net(c_top):
         film_top = FilmState(c_top, rpm, ambient_pressure, viscosity)
         film_bot = FilmState(total_gap - c_top, rpm, ambient_pressure, viscosity)
-        w_top = solve_load(top, film_top, n_r, n_theta)
-        w_bot = solve_load(bottom, film_bot, n_r, n_theta)
+        w_top = solve_load(top, film_top, *EQUILIBRIUM_GRID)
+        w_bot = solve_load(bottom, film_bot, *EQUILIBRIUM_GRID)
         return w_top - w_bot, w_top, w_bot
 
     lo_frac, hi_frac = 0.02, 0.98

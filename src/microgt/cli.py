@@ -228,6 +228,14 @@ def run_bearing(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
                 f"{f.nominal_clearance * 1e6:.2f} um clearance is above "
                 f"{br.MAX_VERIFIED_LAMBDA:g}, outside the verified range")
 
+    # both faces take their groove pattern from the same [bearing] keys
+    for rows, cols in dict.fromkeys([(n_r, n_theta), br.EQUILIBRIUM_GRID]):
+        cells = br.stripe_cells(top, cols)
+        if cells < br.MIN_STRIPE_CELLS:
+            bundle.warnings.append(
+                f"bearing: the narrowest groove or land stripe spans {cells:.2f} "
+                f"angular cells at n_theta = {cols} ({rows}x{cols} grid), so the "
+                f"groove-edge treatment falls back to first order")
     check_regime(top, film)
     load_rows = []
     for f in films:

@@ -149,8 +149,7 @@ def equivalence_ratio(fuel_mass_flow: float, air_mass_flow: float) -> float:
     return (fuel_mass_flow / air_mass_flow) / stoichiometric_fuel_air_ratio()
 
 
-def adiabatic_flame_temperature(phi: float, inlet_temperature: float,
-                                inlet_pressure: float = 101325.0) -> float:
+def adiabatic_flame_temperature(phi: float, inlet_temperature: float) -> float:
     """Complete-combustion flame temperature of a premixed H2-air stream.
 
     Solves h(products, T) = h(mixture, T_in) on total enthalpies, with the
@@ -274,9 +273,8 @@ def _solve_thermal(geometry: CombustorGeometry, op: CombustorOperatingPoint,
     return t_e, t_w, t_pre
 
 
-def exit_temperature(geometry: CombustorGeometry, op: CombustorOperatingPoint,
-                     chemistry: ChemicalTimeModel = DEFAULT_CHEMISTRY,
-                     ambient_temperature: float = AMBIENT_TEMPERATURE) -> ExitTemperatureResult:
+def exit_temperature(geometry: CombustorGeometry,
+                     op: CombustorOperatingPoint) -> ExitTemperatureResult:
     """Loss-corrected exit and wall temperatures.
 
     For a stable point the exit temperature is the adiabatic value minus the
@@ -284,7 +282,7 @@ def exit_temperature(geometry: CombustorGeometry, op: CombustorOperatingPoint,
     non-reacting mixed temperature with reacting=False so that sweeps stay
     total.
     """
-    result = stability(geometry, op, chemistry, ambient_temperature)
+    result = stability(geometry, op)
     return ExitTemperatureResult(result.exit_temperature, result.wall_temperature,
                                  reacting=result.stable)
 
@@ -308,7 +306,7 @@ def stability(geometry: CombustorGeometry, op: CombustorOperatingPoint,
             exit_temperature=op.inlet_temperature, wall_temperature=ambient_temperature,
         )
     t_exit, t_wall, t_pre = _solve_thermal(geometry, op, ambient_temperature)
-    t_flame = adiabatic_flame_temperature(phi, t_pre, op.inlet_pressure)
+    t_flame = adiabatic_flame_temperature(phi, t_pre)
     tau_res = residence_time(geometry, op, t_flame)
     tau_chem = chemical_time(phi, op.inlet_pressure, t_pre, chemistry)
     da = tau_res / tau_chem
@@ -320,13 +318,10 @@ def stability(geometry: CombustorGeometry, op: CombustorOperatingPoint,
 
 
 def blowout_mass_flow(geometry: CombustorGeometry, phi: float,
-                      chemistry: ChemicalTimeModel = DEFAULT_CHEMISTRY,
-                      inlet_temperature: float = 300.0,
-                      inlet_pressure: float = 101325.0,
-                      scan_flows=BLOWOUT_SCAN_FLOWS):
+                      chemistry: ChemicalTimeModel = DEFAULT_CHEMISTRY):
     """Smallest stable air mass flow on the scan grid, kg/s (None if all blow out)."""
-    for mdot in scan_flows:
-        op = CombustorOperatingPoint(mdot, phi, inlet_temperature, inlet_pressure)
+    for mdot in BLOWOUT_SCAN_FLOWS:
+        op = CombustorOperatingPoint(mdot, phi)
         if stability(geometry, op, chemistry).stable:
             return mdot
     return None

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from . import gas
 from .gas import AIR, GasState, POLYNOMIAL
-from .params import ConvergenceError, bracketed_root, check, param  # noqa: F401
+from .params import bracketed_root, check, param
 
 STATION_LABELS = ("inlet", "compressor-exit", "combustor-exit", "turbine-exit")
 
@@ -55,7 +55,7 @@ class CyclePerformance:
     specific_fuel_consumption: float  # kg/J
 
 
-def _isentropic_temperature(t_in, p_ratio, composition, props, iterations=30):
+def _isentropic_temperature(t_in, p_ratio, composition, props):
     """Exit temperature of an isentropic pressure change by factor p_ratio.
 
     Uses T2s = T1 * ratio^((g-1)/g) with gamma iterated at the mean of the
@@ -63,7 +63,7 @@ def _isentropic_temperature(t_in, p_ratio, composition, props, iterations=30):
     constant-cp mode.
     """
     t2s = t_in
-    for _ in range(iterations):
+    for _ in range(30):
         g = props.gamma(composition, 0.5 * (t_in + t2s))
         t_new = t_in * p_ratio ** ((g - 1.0) / g)
         if abs(t_new - t2s) < 1e-12 * t_in:
@@ -190,14 +190,13 @@ def run_cycle(design: CycleDesignPoint, props=POLYNOMIAL):
     return performance, stations
 
 
-def fit_eta_mechanical(design: CycleDesignPoint, target_net_power: float = 39.0,
-                       props=POLYNOMIAL) -> float:
+def fit_eta_mechanical(design: CycleDesignPoint, target_net_power: float = 39.0) -> float:
     """Mechanical-loss fraction that makes the cycle hit target_net_power.
 
     Net power is linear in eta_mechanical, so the fit is closed-form:
     eta = (target + P_comp) / P_turb.
     """
-    perf, _ = run_cycle(replace(design, eta_mechanical=1.0), props)
+    perf, _ = run_cycle(replace(design, eta_mechanical=1.0))
     if perf.turbine_power <= 0.0:
         raise ValueError("turbine power is non-positive; cannot calibrate")
     eta = (target_net_power + perf.compressor_power) / perf.turbine_power

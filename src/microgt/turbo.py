@@ -32,14 +32,11 @@ class RotorGeometry:
     # Inlet metal angle, deg from radial, matched to zero incidence for
     # room-temperature drive air at 0.36 g/s near the 15,000 rpm test speed.
     inlet_blade_angle: float = param("inlet_blade_angle_deg", 68.6, "(-90, 90)")
-    rotor_mass: float | None = None  # kg; computed from geometry when None
 
     def __post_init__(self):
         check(self)
         if not self.outer_diameter > self.inner_diameter:
             raise ValueError("diameters must satisfy outer > inner")
-        if self.rotor_mass is None:
-            object.__setattr__(self, "rotor_mass", rotor_mass_from_geometry(self))
 
     @property
     def tip_radius(self) -> float:
@@ -48,6 +45,20 @@ class RotorGeometry:
     @property
     def hub_radius(self) -> float:
         return 0.5 * self.inner_diameter
+
+    @property
+    def rotor_mass(self) -> float:
+        """Disk plus bladed-annulus silicon mass, kg.
+
+        The backing disk spans the full outer diameter at blade height
+        thickness (the un-etched half of the wafer); blades occupy
+        BLADE_FILL_FRACTION of the annulus between hub and tip.
+        """
+        r_tip, r_hub = self.tip_radius, self.hub_radius
+        disk = math.pi * r_tip ** 2 * self.blade_height
+        blades = (BLADE_FILL_FRACTION * math.pi * (r_tip ** 2 - r_hub ** 2)
+                  * self.blade_height)
+        return SILICON_DENSITY * (disk + blades)
 
 
 @dataclass(frozen=True)
@@ -69,22 +80,6 @@ class VelocityTriangle:
     relative_angle: float  # deg
 
 
-def rotor_mass_from_geometry(geometry: RotorGeometry,
-                             density: float = SILICON_DENSITY,
-                             fill_fraction: float = BLADE_FILL_FRACTION) -> float:
-    """Disk plus bladed-annulus mass, kg.
-
-    The backing disk spans the full outer diameter at blade height thickness
-    (the un-etched half of the wafer); blades occupy fill_fraction of the
-    annulus between hub and tip.
-    """
-    r_tip = 0.5 * geometry.outer_diameter
-    r_hub = 0.5 * geometry.inner_diameter
-    disk = math.pi * r_tip ** 2 * geometry.blade_height
-    blades = fill_fraction * math.pi * (r_tip ** 2 - r_hub ** 2) * geometry.blade_height
-    return density * (disk + blades)
-
-
 def blade_speed(radius: float, rpm: float) -> float:
     """U = omega * r, m/s."""
     if radius < 0.0 or rpm < 0.0:
@@ -92,16 +87,16 @@ def blade_speed(radius: float, rpm: float) -> float:
     return 2.0 * math.pi * rpm / 60.0 * radius
 
 
-def rotor_inlet_area(geometry: RotorGeometry,
-                     blockage: float = BLOCKAGE_FACTOR) -> float:
+def rotor_inlet_area(geometry: RotorGeometry) -> float:
     """Cylindrical through-flow area at the rotor tip, m^2."""
-    return 2.0 * math.pi * geometry.tip_radius * geometry.blade_height * blockage
+    return (2.0 * math.pi * geometry.tip_radius * geometry.blade_height
+            * BLOCKAGE_FACTOR)
 
 
-def rotor_exit_area(geometry: RotorGeometry,
-                    blockage: float = BLOCKAGE_FACTOR) -> float:
+def rotor_exit_area(geometry: RotorGeometry) -> float:
     """Cylindrical through-flow area at the rotor hub, m^2."""
-    return 2.0 * math.pi * geometry.hub_radius * geometry.blade_height * blockage
+    return (2.0 * math.pi * geometry.hub_radius * geometry.blade_height
+            * BLOCKAGE_FACTOR)
 
 
 def velocity_triangle(radius: float, rpm: float, mass_flow: float,
@@ -160,20 +155,18 @@ def rotor_power(inlet: VelocityTriangle, exit: VelocityTriangle,
 
 
 def cold_drive_derate(hot_state: GasState, cold_state: GasState,
-                      geometry: RotorGeometry, mass_flow: float,
-                      stator: StatorGeometry | None = None):
+                      geometry: RotorGeometry, mass_flow: float):
     """Power and zero-incidence-rpm ratios for cold versus hot drive gas.
 
-    Both states run the same mass flow through the same geometry with zero
-    exit swirl; each is operated at its own zero-incidence speed.  Because
-    U and Ctheta both scale with Cm = mdot / (rho A), the power ratio is the
-    squared meridional-velocity ratio and the rpm ratio is the plain one.
+    Both states run the same mass flow through the same geometry, behind the
+    default stator, with zero exit swirl; each is operated at its own
+    zero-incidence speed.  Because U and Ctheta both scale with
+    Cm = mdot / (rho A), the power ratio is the squared meridional-velocity
+    ratio and the rpm ratio is the plain one.
     Returns (power_ratio, rpm_ratio), both <= 1 for a colder, denser drive.
     """
-    if stator is None:
-        stator = StatorGeometry()
     area = rotor_inlet_area(geometry)
-    alpha = stator.exit_flow_angle
+    alpha = StatorGeometry().exit_flow_angle
     beta = geometry.inlet_blade_angle
 
     def operating_point(state):
@@ -194,8 +187,7 @@ def cold_drive_derate(hot_state: GasState, cold_state: GasState,
 
 
 def imbalance_load(geometry: RotorGeometry, etch_nonuniformity_fraction: float,
-                   rpm: float, density: float = SILICON_DENSITY,
-                   fill_fraction: float = BLADE_FILL_FRACTION):
+                   rpm: float):
     """Worst-case centrifugal load from DRIE etch-depth non-uniformity.
 
     The blade-layer height varies linearly across the rotor diameter,
@@ -209,7 +201,7 @@ def imbalance_load(geometry: RotorGeometry, etch_nonuniformity_fraction: float,
     # First moment of the tilted blade layer: integral of x * h(x) over the
     # annulus; the symmetric h0 term drops, leaving f h0 / (2 r_tip) * Ix
     # with Ix = pi/4 (r_tip^4 - r_hub^4).
-    moment = (density * fill_fraction * geometry.blade_height
+    moment = (SILICON_DENSITY * BLADE_FILL_FRACTION * geometry.blade_height
               * etch_nonuniformity_fraction / (2.0 * r_tip)
               * math.pi / 4.0 * (r_tip ** 4 - r_hub ** 4))
     offset = moment / geometry.rotor_mass

@@ -79,7 +79,7 @@ def threshold_fit_prefactor(activation_energy, phi_exponent,
         geometry = CombustorGeometry(chamber_height=BAND_HEIGHT)
     op = CombustorOperatingPoint(THRESHOLD_FLOW, BAND_PHI)
     t_exit, t_wall, t_pre = cb._solve_thermal(geometry, op)
-    t_flame = cb.adiabatic_flame_temperature(BAND_PHI, t_pre, op.inlet_pressure)
+    t_flame = cb.adiabatic_flame_temperature(BAND_PHI, t_pre)
     tau_res = cb.residence_time(geometry, op, t_flame)
     arrhenius = math.exp(activation_energy / (gas.R_UNIVERSAL * t_pre))
     return tau_res * BAND_PHI ** phi_exponent / arrhenius

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from microgt import bearing as br
 from microgt.bearing import FilmState, PressureField, SpiralGrooveBearing
@@ -238,6 +240,62 @@ REFERENCE_LOADS_BATCHED = [
     (129, 192, 5.0e-6, 135000.0, 0.012189828804544564, -0.012177486595086485),
     (129, 192, 1.5e-6, 121500.0, 0.027670575037227252, -0.027135335371913916),
 ]
+
+
+# Loads at 33x64 on the two stripe geometries the default pattern does not
+# reach, from the solver that placed groove edges face by face:
+# (groove_count, groove_width_fraction, clearance m, rpm, pump-in load N,
+# pump-out load N), at Lambda of about 3 and 30.  40 grooves put several
+# edges on some face paths; 16 grooves of width fraction 0.25 put edges
+# exactly on nodes.
+REFERENCE_LOADS_STRIPES = [
+    (40, 0.5, 5.0e-6, 135000.0, 0.013926729763725188, -0.013911407394690004),
+    (40, 0.5, 1.5e-6, 121500.0, 0.033817385559114746, -0.03366468070958559),
+    (16, 0.25, 5.0e-6, 135000.0, 0.01283800715490972, -0.01275497654973503),
+    (16, 0.25, 1.5e-6, 121500.0, 0.03470811214064901, -0.03409226209568005),
+]
+
+
+@pytest.mark.parametrize("count, fraction, clearance, rpm, load_in, load_out",
+                         REFERENCE_LOADS_STRIPES)
+def test_stripe_geometries_keep_loads(count, fraction, clearance, rpm, load_in,
+                                      load_out):
+    film = FilmState(nominal_clearance=clearance, rpm=rpm)
+    for pump, expected in (("pump-in", load_in), ("pump-out", load_out)):
+        face = SpiralGrooveBearing(groove_count=count, groove_width_fraction=fraction,
+                                   pump_direction=pump)
+        assert br.solve_load(face, film, 33, 64) == pytest.approx(
+            expected, rel=1e-12, abs=0.0)
+
+
+@settings(deadline=None, max_examples=20)
+@given(clearance=st.floats(1.5e-6, 10.0e-6), rpm=st.floats(1000.0, 120000.0),
+       spiral_angle=st.floats(10.0, 80.0), count=st.integers(4, 48),
+       fraction=st.floats(0.1, 0.9))
+def test_mirrored_face_and_rotation_keep_load(clearance, rpm, spiral_angle, count,
+                                              fraction):
+    """The pump-out face spun backwards is the mirror image of the pump-in
+    face spun forwards, so it carries the same load.
+
+    Mirroring maps the node columns and the groove pattern onto themselves,
+    except where a groove edge sits on a node: in_groove puts such a node in
+    the groove at one edge and in the land at the other, and the loads then
+    differ at the level of the discretisation error (3.4e-4 relative with
+    16 grooves of width fraction 0.25), so those grids are not drawn.  The
+    two Newton solves stop at different iterates once every residual is
+    below NEWTON_TOLERANCE, so the loads agree to about that tolerance (up
+    to 1.7e-10 relative over 750 sampled points; 2e-15 when both solves are
+    driven to 1e-13), not to rounding.
+    """
+    # groove-pattern phase of each node column; edges sit at 0 and fraction
+    phase = ((np.arange(64) + 0.5) * count / 64 + 0.5 * fraction) % 1.0
+    assume(np.min(np.abs(phase[:, None] - np.array([0.0, fraction, 1.0]))) > 1e-9)
+    face = SpiralGrooveBearing(groove_count=count, spiral_angle=spiral_angle,
+                               groove_width_fraction=fraction)
+    w_in = br.solve_load(face, FilmState(clearance, rpm), 33, 64)
+    w_out = br.solve_load(replace(face, pump_direction="pump-out"),
+                          FilmState(clearance, -rpm), 33, 64)
+    assert w_out == pytest.approx(w_in, rel=br.NEWTON_TOLERANCE, abs=0.0)
 
 
 @pytest.mark.parametrize("n_r, n_theta, clearance, rpm, load_in, load_out",

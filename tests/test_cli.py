@@ -132,6 +132,25 @@ def test_run_bearing_warns_outside_verified_lambda(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [warning]
 
 
+def test_run_bearing_warns_on_under_resolved_stripes(tmp_path, capsys):
+    # 60 grooves of width fraction 0.5 leave each stripe under one angular
+    # cell on the 65x96 config grid and on the 33x64 equilibrium grid
+    cfg = tmp_path / "cfg"
+    cfg.write_text(DEFAULT_CONFIG.replace("groove_count = 12", "groove_count = 60"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "bearing", "--config", str(cfg), "--out", str(out)]) == 0
+    warnings = [
+        "warning: bearing: the narrowest groove or land stripe spans 0.80 angular "
+        "cells at n_theta = 96 (65x96 grid), so the groove-edge treatment falls "
+        "back to first order",
+        "warning: bearing: the narrowest groove or land stripe spans 0.53 angular "
+        "cells at n_theta = 64 (33x64 grid), so the groove-edge treatment falls "
+        "back to first order",
+    ]
+    assert (out / "summary.txt").read_text().splitlines()[-2:] == warnings
+    assert capsys.readouterr().err.splitlines() == warnings
+
+
 def test_run_all_deterministic(tmp_path):
     out_1 = tmp_path / "a"
     out_2 = tmp_path / "b"
