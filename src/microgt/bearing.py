@@ -28,9 +28,16 @@ of five and six, so 30 colours (25 when n_theta is a multiple of five) cover
 the 5 x 5 residual stencil, and the residual is evaluated once per block of
 colours on a batch of perturbed fields.  Each entry reads only its own
 stencil, so the batching leaves every Jacobian value bit-identical to one
-residual call per colour.  The Jacobian is gathered in one pass and factored
-by SuperLU with minimum-degree ordering on A^T + A in symmetric mode, since
-the stencil is structurally symmetric.
+residual call per colour.  The colour masks and the CSC pattern depend only
+on the grid and are built once per grid, so each Newton step only fills the
+values.  The Jacobian is factored by SuperLU with minimum-degree ordering on
+A^T + A in symmetric mode, since the stencil is structurally symmetric.
+The factorisation dominates a solve, so factors are reused (Knoll and
+Keyes, 2004): each Newton step is solved against its own Jacobian by
+iterative refinement with a held factor (Moler, 1967), to 1e-12 of the step,
+and factors afresh only when the corrections stop contracting.  A
+JacobianFactor carries the factor across the neighbouring clearances of
+axial_stiffness and axial_equilibrium.
 
 The narrow-groove (infinite-groove-number) reference evaluates the
 classical effective-medium solution in the incompressible limit and serves
@@ -39,6 +46,7 @@ as an independent cross-check on the numerical load.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -65,6 +73,12 @@ EQUILIBRIUM_GRID = (33, 64)  # (n_r, n_theta) of every axial_equilibrium solve
 # cells keep each temporary near 256 KB, in cache.  Larger blocks raised the
 # peak memory by megabytes and ran slower.
 JACOBIAN_BLOCK_CELLS = 2 ** 15
+# Refinement of a Newton step against a held factor (see _newton_step).  A
+# correction shrinking tenfold per sweep reaches the tolerance within the
+# sweep cap; at 33x64 to 129x192 a sweep costs 1/25 to 1/50 of a factorisation.
+REFINE_TOLERANCE = 1.0e-12
+REFINE_CONTRACTION = 0.1
+REFINE_MAX_SWEEPS = 12
 
 
 class SolverError(RuntimeError):
@@ -220,8 +234,72 @@ def _colored_stencil(n_rows: int, n_theta: int):
             colour.reshape(n_rows, n_theta))
 
 
+@functools.lru_cache(maxsize=8)
+def _jacobian_pattern(n_rows: int, n_theta: int):
+    """Grid-only structure of the colored finite-difference Jacobian, built
+    once per grid and read-only: a boolean mask per colour over the full
+    node lattice (the boundary rows carry no colour), and the CSC pattern of
+    the whole stencil, columns being sources and rows ascending within a
+    column, as the flat index of each entry's value in the (colour, cell)
+    array of residual differences, its row and the column pointers.
+    """
+    source, target, entry_colour, colour = _colored_stencil(n_rows, n_theta)
+    n_unknown = n_rows * n_theta
+    order = np.lexsort((target, source))
+    gather = entry_colour[order].astype(np.intp) * n_unknown + target[order]
+    indices = target[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(source, minlength=n_unknown))))
+    node_colour = np.pad(colour, ((1, 1), (0, 0)), constant_values=-1)
+    masks = node_colour == np.arange(int(colour.max()) + 1)[:, None, None]
+    for array in (masks, gather, indices, indptr):
+        array.flags.writeable = False
+    return masks, gather, indices, indptr
+
+
+class JacobianFactor:
+    """The LU factor of the last Reynolds Jacobian factored, at most one.
+
+    One holder passed to the solve_reynolds calls of neighbouring films on
+    one grid lets their Newton steps refine against it (see _newton_step).
+    """
+
+    def __init__(self):
+        self.lu = None  # SuperLU factor, or None
+        self.size = 0  # order of the factored Jacobian
+
+
+def _newton_step(jac, rhs, factor: JacobianFactor):
+    """Solve jac @ step = rhs, refining against the held factor when it
+    converges, else factoring jac and holding that factor instead.
+
+    Refinement (Moler, 1967) repeats step += LU^-1 (rhs - jac @ step) from
+    step = 0 until the correction is below REFINE_TOLERANCE of the step.  It
+    gives up, and jac is factored, when a correction fails to shrink by
+    REFINE_CONTRACTION or REFINE_MAX_SWEEPS corrections do not reach the
+    tolerance; a held factor of another order is never tried.
+    """
+    if factor.lu is not None and factor.size == rhs.size:
+        step = factor.lu.solve(rhs)
+        last = np.max(np.abs(step))
+        for _ in range(REFINE_MAX_SWEEPS):
+            correction = factor.lu.solve(rhs - jac @ step)
+            step += correction
+            change = np.max(np.abs(correction))
+            if change <= REFINE_TOLERANCE * np.max(np.abs(step)):
+                return step
+            if not change <= REFINE_CONTRACTION * last:  # also stops on nan
+                break
+            last = change
+    factor.lu = None  # free the stale factor before making the next one
+    factor.lu = splu(jac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                     options={"SymmetricMode": True})
+    factor.size = rhs.size
+    return factor.lu.solve(rhs)
+
+
 def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
-                   n_r: int, n_theta: int) -> PressureField:
+                   n_r: int, n_theta: int,
+                   factor: JacobianFactor | None = None) -> PressureField:
     """Solve the steady compressible Reynolds equation on an n_r x n_theta grid.
 
     n_r counts radial node rows (including the two ambient boundary rows);
@@ -231,6 +309,12 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
     relative to the magnitude of that node's flux terms; steps are halved
     while they push the squared pressure below (0.1 ambient)^2 or fail to
     reduce the residual norm.
+
+    Each Newton step solves against its own Jacobian, by refinement with
+    the factor held in `factor` or, when that does not converge, by
+    factoring the Jacobian afresh (see _newton_step).  A JacobianFactor
+    passed in shares factors with other solves on the grid; without one,
+    only the Newton steps of this solve share them.
     """
     if n_r < MIN_RADIAL_NODES or n_theta < MIN_ANGULAR_NODES:
         raise ValueError(
@@ -388,28 +472,28 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
 
     # Colored finite differences: the residual stencil reaches two rows and
     # two columns each way, and no stencil holds two cells of one colour.
-    # The boundary rows carry no colour.
-    source, target, entry_colour, colour = _colored_stencil(n_rows, n_theta)
-    n_colours = int(colour.max()) + 1
-    node_colour = np.pad(colour, ((1, 1), (0, 0)), constant_values=-1)
+    masks, gather, indices, indptr = _jacobian_pattern(n_rows, n_theta)
     block = max(1, JACOBIAN_BLOCK_CELLS // (n_r * n_theta))
 
     def jacobian(q, base):
         """Colored finite-difference Jacobian of the residual at the full
-        field q, whose residual is base; CSC."""
+        field q, whose residual is base; CSC without explicit zeros."""
         eps = 1.0e-7
-        delta = np.empty((n_colours, n_unknown))
-        for c in range(0, n_colours, block):
-            colours = np.arange(c, min(c + block, n_colours))
-            # one perturbed copy of q per colour; adding 0.0 leaves a cell as is
-            q_pert = q + np.where(node_colour == colours[:, None, None], eps, 0.0)
-            delta[c:c + colours.size] = ((fluxes(q_pert) - base) / eps
-                                         ).reshape(colours.size, n_unknown)
-        vals = delta[entry_colour, target]
-        nz = vals != 0.0
-        return csc_matrix((vals[nz], (target[nz], source[nz])),
-                          shape=(n_unknown, n_unknown))
+        delta = np.empty((len(masks), n_unknown))
+        q_eps = q + eps
+        for c in range(0, len(masks), block):
+            # one perturbed copy of q per colour of the block
+            mask = masks[c:c + block]
+            delta[c:c + len(mask)] = ((fluxes(np.where(mask, q_eps, q)) - base) / eps
+                                      ).reshape(len(mask), n_unknown)
+        # eliminate_zeros compacts indices and indptr in place
+        jac = csc_matrix((delta.ravel()[gather], indices.copy(), indptr.copy()),
+                         shape=(n_unknown, n_unknown))
+        jac.eliminate_zeros()
+        return jac
 
+    if factor is None:
+        factor = JacobianFactor()
     q_int = np.ones((n_rows, n_theta))
     f = fluxes(full_field(q_int))
     history = []
@@ -418,10 +502,8 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
         history.append(res)
         if res < NEWTON_TOLERANCE:
             break
-        # One expression, so the factor and the Jacobian are freed at once.
-        step = splu(jacobian(full_field(q_int), f), permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.1, options={"SymmetricMode": True}
-                    ).solve(-f.ravel()).reshape(n_rows, n_theta)
+        step = _newton_step(jacobian(full_field(q_int), f), -f.ravel(), factor
+                            ).reshape(n_rows, n_theta)
         norm0 = float(np.linalg.norm(f))
         alpha = 1.0
         for _ in range(40):
@@ -479,9 +561,9 @@ def load_capacity(field: PressureField) -> float:
 
 
 def solve_load(bearing: SpiralGrooveBearing, film: FilmState,
-               n_r: int, n_theta: int) -> float:
+               n_r: int, n_theta: int, factor: JacobianFactor | None = None) -> float:
     """Convenience: solve and integrate the load, N."""
-    return load_capacity(solve_reynolds(bearing, film, n_r, n_theta))
+    return load_capacity(solve_reynolds(bearing, film, n_r, n_theta, factor))
 
 
 def narrow_groove_reference(bearing: SpiralGrooveBearing, film: FilmState) -> float:
@@ -524,12 +606,15 @@ def narrow_groove_reference(bearing: SpiralGrooveBearing, film: FilmState) -> fl
 
 def axial_stiffness(bearing: SpiralGrooveBearing, film: FilmState,
                     n_r: int, n_theta: int, relative_step: float = 1.0e-3) -> float:
-    """Central-difference stiffness -dW/dc, N/m (positive = restoring)."""
+    """Central-difference stiffness -dW/dc, N/m (positive = restoring).
+
+    The c - dc solve refines against the factor of the c + dc solve."""
     dc = relative_step * film.nominal_clearance
+    factor = JacobianFactor()
     load_hi = solve_load(bearing, replace(film, nominal_clearance=film.nominal_clearance + dc),
-                         n_r, n_theta)
+                         n_r, n_theta, factor)
     load_lo = solve_load(bearing, replace(film, nominal_clearance=film.nominal_clearance - dc),
-                         n_r, n_theta)
+                         n_r, n_theta, factor)
     return -(load_hi - load_lo) / (2.0 * dc)
 
 
@@ -550,16 +635,18 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
 
     Scans c_top for a sign change of the imbalance, then bisects to
     |net_load - external_load| <= load_tolerance.  Every film is solved on
-    EQUILIBRIUM_GRID.
+    EQUILIBRIUM_GRID, and each face's solves refine against the factor its
+    previous solves left.
     """
     if total_gap <= 0.0:
         raise ValueError("total_gap must be positive")
+    factor_top, factor_bot = JacobianFactor(), JacobianFactor()
 
     def net(c_top):
         film_top = FilmState(c_top, rpm, ambient_pressure, viscosity)
         film_bot = FilmState(total_gap - c_top, rpm, ambient_pressure, viscosity)
-        w_top = solve_load(top, film_top, *EQUILIBRIUM_GRID)
-        w_bot = solve_load(bottom, film_bot, *EQUILIBRIUM_GRID)
+        w_top = solve_load(top, film_top, *EQUILIBRIUM_GRID, factor_top)
+        w_bot = solve_load(bottom, film_bot, *EQUILIBRIUM_GRID, factor_bot)
         return w_top - w_bot, w_top, w_bot
 
     lo_frac, hi_frac = 0.02, 0.98

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from microgt import bearing as br
 from microgt.bearing import FilmState, PressureField, SpiralGrooveBearing
+from microgt.config import default_config
 
 BEARING = SpiralGrooveBearing()
 FILM = FilmState()
@@ -309,13 +310,29 @@ def test_batched_colour_sweep_keeps_loads(n_r, n_theta, clearance, rpm, load_in,
         assert load == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def count_calls(monkeypatch, name):
+    """Record the calls of bearing.<name> from here on; returns the list."""
+    calls = []
+    original = getattr(br, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(br, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("pump", ["pump-in", "pump-out"])
 def test_newton_step_matches_dense_solve(monkeypatch, pump):
-    # threshold pivoting must not cost accuracy at the stiffest point
+    # threshold pivoting must not cost accuracy at the stiffest point, and a
+    # step refined against an earlier step's factor solves its own Jacobian
     film = FilmState(nominal_clearance=1.5e-6, rpm=121500.0)
     assert br.compressibility_number(BEARING, film) == pytest.approx(30.0, rel=0.01)
     errors = []
+    step_errors = []
     factor = br.splu
+    newton_step = br._newton_step
 
     def checked_splu(jac, **options):
         lu = factor(jac, **options)
@@ -329,6 +346,52 @@ def test_newton_step_matches_dense_solve(monkeypatch, pump):
                 return step
         return Checked()
 
+    def checked_step(jac, rhs, held):
+        step = newton_step(jac, rhs, held)
+        exact = np.linalg.solve(jac.toarray(), rhs)
+        step_errors.append(np.linalg.norm(step - exact) / np.linalg.norm(exact))
+        return step
+
     monkeypatch.setattr(br, "splu", checked_splu)
+    factored = count_calls(monkeypatch, "splu")
+    monkeypatch.setattr(br, "_newton_step", checked_step)
     br.solve_load(SpiralGrooveBearing(pump_direction=pump), film, 33, 64)
     assert errors and max(errors) < 1e-10
+    assert len(step_errors) > len(factored)  # some step was refined
+    assert max(step_errors) < 1e-10
+
+
+def test_two_step_solve_factors_once(monkeypatch):
+    steps = count_calls(monkeypatch, "_newton_step")
+    factored = count_calls(monkeypatch, "splu")
+    br.solve_load(BEARING, FilmState(nominal_clearance=5.0e-6, rpm=135000.0), 65, 96)
+    assert len(steps) == 2
+    assert len(factored) == 1
+
+
+def test_stale_factor_is_replaced(monkeypatch):
+    """A factor held from a distant film does not refine the first Newton
+    step of a Lambda 30 solve; that step factors afresh, and the load is the
+    one a solve without a held factor gives."""
+    stiff = FilmState(nominal_clearance=1.5e-6, rpm=121500.0)
+    fresh = br.solve_load(BEARING, stiff, 33, 64)
+    held = br.JacobianFactor()
+    br.solve_load(BEARING, FILM, 33, 64, held)
+    factored = count_calls(monkeypatch, "splu")
+    load = br.solve_load(BEARING, stiff, 33, 64, held)
+    assert len(factored) >= 1
+    assert load == pytest.approx(fresh, rel=1e-12, abs=0.0)
+
+
+def test_default_equilibrium_keeps_clearance_and_loads():
+    # from the solver that factored the Jacobian of every Newton step; the
+    # bisection takes the same side at every step, so the clearance is exact
+    config = default_config()
+    b = config.raw["bearing"]
+    eq = br.axial_equilibrium(config.bearing_face("top"), config.bearing_face("bottom"),
+                              b["total_axial_gap_m"], config.external_axial_load,
+                              b["rpm"], b["ambient_pressure_pa"], b["viscosity_pa_s"])
+    assert eq.converged
+    assert eq.top_clearance == 8.145561835106383e-06
+    assert eq.top_load == pytest.approx(5.570371834180439e-04, rel=1e-12, abs=0.0)
+    assert eq.bottom_load == pytest.approx(-2.875439234105291e-05, rel=1e-12, abs=0.0)

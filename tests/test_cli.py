@@ -120,6 +120,22 @@ def test_run_bearing_solves_each_film_once(tmp_path, monkeypatch):
         ["clearance_m", "rpm", "load_N", "stiffness_N_per_m"], [row])
 
 
+def test_run_all_factorisations(tmp_path, monkeypatch):
+    """Neighbouring solves share their Jacobian factors: the default run all
+    factors 17 times for its 51 Reynolds solves (55 when every Newton step
+    factored)."""
+    factored = []
+    factor = br.splu
+
+    def counted(*args, **kwargs):
+        factored.append(args)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(br, "splu", counted)
+    assert cli.main(["run", "all", "--out", str(tmp_path / "out")]) == 0
+    assert len(factored) <= 21
+
+
 def test_run_bearing_warns_outside_verified_lambda(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text(DEFAULT_CONFIG.replace("nominal_clearance_m = 5e-06",
