@@ -23,21 +23,27 @@ multiple of four times the groove count the edges coincide with faces, the
 coefficients are exact, and the observed convergence is second order.
 The nonlinear system (the Couette term carries sqrt(q)) is solved by damped
 Newton iteration.  The sparse Jacobian comes from colored finite differences
-(Curtis, Powell and Reid, 1974): the periodic columns are coloured in blocks
-of five and six, so 30 colours (25 when n_theta is a multiple of five) cover
-the 5 x 5 residual stencil, and the residual is evaluated once per block of
-colours on a batch of perturbed fields.  Each entry reads only its own
-stencil, so the batching leaves every Jacobian value bit-identical to one
-residual call per colour.  The colour masks and the CSC pattern depend only
-on the grid and are built once per grid, so each Newton step only fills the
-values.  The Jacobian is factored by SuperLU with minimum-degree ordering on
-A^T + A in symmetric mode, since the stencil is structurally symmetric.
-The factorisation dominates a solve, so factors are reused (Knoll and
-Keyes, 2004): each Newton step is solved against its own Jacobian by
-iterative refinement with a held factor (Moler, 1967), to 1e-12 of the step,
-and factors afresh only when the corrections stop contracting.  A
-JacobianFactor carries the factor across the neighbouring clearances of
-axial_stiffness and axial_equilibrium.
+(Curtis, Powell and Reid, 1974): rows take five colours and the periodic
+columns six (five when n_theta is a multiple of five), in blocks, so 30
+colours (or 25) cover the 5 x 5 residual stencil.  The residual is split into
+a row-local half (sqrt(q), the v-differences, the v-face path integrals and
+Couette sums of each node row) and a cross-row half.  The colours that
+perturb the same columns differ only in which rows they perturb, so the
+row-local half is evaluated once per column colour, with every interior row
+perturbed, and the cross-row half once per colour on a batch of fields that
+take the perturbed rows from it and the other rows from the unperturbed
+field.  Each entry reads only its own stencil, so every Jacobian value is
+bit-identical to one residual call per colour.  The colour masks and the
+CSC pattern depend only on the grid and are built once per grid, so each
+Newton step only fills the values.  The Jacobian is factored by SuperLU
+with minimum-degree ordering on A^T + A in symmetric mode, since the
+stencil is structurally symmetric.  A factorisation costs more than a
+Jacobian, so factors are reused (Knoll and Keyes, 2004): each Newton step
+is solved against its own Jacobian by iterative refinement with a held
+factor (Moler, 1967), to 1e-12 of the step, and factors afresh only when
+the corrections stop contracting.  A JacobianFactor carries the factor
+across the neighbouring clearances of axial_stiffness and
+axial_equilibrium.
 
 The narrow-groove (infinite-groove-number) reference evaluates the
 classical effective-medium solution in the incompressible limit and serves
@@ -50,6 +56,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -69,7 +76,7 @@ MIN_STRIPE_CELLS = 1.0
 NEWTON_TOLERANCE = 1.0e-9  # see solve_reynolds
 NEWTON_MAX_ITERATIONS = 60
 EQUILIBRIUM_GRID = (33, 64)  # (n_r, n_theta) of every axial_equilibrium solve
-# Grid cells per batched residual call of the colour sweep: 2**15 float64
+# Grid cells per batch of perturbed fields in the colour sweep: 2**15 float64
 # cells keep each temporary near 256 KB, in cache.  Larger blocks raised the
 # peak memory by megabytes and ran slower.
 JACOBIAN_BLOCK_CELLS = 2 ** 15
@@ -297,6 +304,244 @@ def _newton_step(jac, rhs, factor: JacobianFactor):
     return factor.lu.solve(rhs)
 
 
+class _Coefficients(NamedTuple):
+    """Film and geometry coefficients of the discrete Reynolds residual for
+    one bearing, film and grid, in the normalised variables of the module
+    docstring; built by _coefficients and read by _row_terms and _cross_rows.
+    Column and v-face fields have shape (n_theta,)."""
+
+    du: float  # radial node spacing in u
+    dv: float  # angular cell width in v
+    s: float  # 1 / signed tangent of the spiral angle
+    lam: float  # signed compressibility number at the inner radius
+    u_nodes: np.ndarray  # (n_r,)
+    v_nodes: np.ndarray  # (n_theta,) cell centres
+    e_nodes: np.ndarray  # (n_r,) exp(2u) at the nodes
+    e_face: np.ndarray  # (n_r - 1,) exp(2u) at the u-faces (nodal mean)
+    e_cell: np.ndarray  # (n_r - 2,) exp(2u) integrated over each interior span
+    h_col: np.ndarray  # column film, land 1
+    d_col: np.ndarray  # column Poiseuille coefficient h^3
+    len_left: np.ndarray  # v-face path lengths on the node j-1 side
+    len_right: np.ndarray  # and on the node j side
+    s3: np.ndarray  # Poiseuille path sum of L / h^3
+    inv_h2_left: np.ndarray  # Couette path terms L / h^2 of each side
+    inv_h2_right: np.ndarray
+    valid_left: np.ndarray  # within-strip slope validity for the reconstruction
+    valid_right: np.ndarray
+    kinked: np.ndarray  # the two nodes of the face have different films
+
+
+def _coefficients(bearing: SpiralGrooveBearing, film: FilmState,
+                  n_r: int, n_theta: int) -> _Coefficients:
+    """Coefficients of the residual of bearing and film on an n_r x n_theta
+    grid."""
+    clearance = film.nominal_clearance
+    # compressibility_number carries the rotation sign through omega
+    lam = (compressibility_number(bearing, film)
+           * (bearing.inner_radius / bearing.outer_radius) ** 2)
+
+    u_span = math.log(bearing.outer_radius / bearing.inner_radius)
+    du = u_span / (n_r - 1)
+    dv = 2.0 * math.pi / n_theta
+    u_nodes = np.linspace(0.0, u_span, n_r)
+    v_nodes = (np.arange(n_theta) + 0.5) * dv
+
+    h_land = 1.0
+    h_groove = (clearance + bearing.groove_depth) / clearance
+
+    # Column film values (strips are v = const bands).
+    col_in_groove = in_groove(bearing, bearing.inner_radius, v_nodes)
+    h_col = np.where(col_in_groove, h_groove, h_land)
+
+    # v-face path geometry.  Face j sits between columns j-1 and j; the path
+    # between the two nodes may contain one groove edge whose position is
+    # known analytically.  Each side's film value and length feed the exact
+    # series composites; field means over each side come from within-strip
+    # linear reconstruction so that the composites stay second-order
+    # accurate across the film step.  In stripe units y the edges sit at the
+    # integers and at the integers plus a_frac, in ascending order.
+    h_left_col = np.roll(h_col, 1)  # film at node j-1 for face j
+    h_right_col = h_col
+    a_frac = bearing.groove_width_fraction
+    scale_y = bearing.groove_count / (2.0 * math.pi)
+    v_ends = (np.arange(n_theta + 1) - 0.5) * dv  # face j spans v_ends[j:j+2]
+    y_ends = v_ends * scale_y + 0.5 * a_frac
+    m = np.arange(math.floor(y_ends[0]), math.floor(y_ends[-1]) + 2, dtype=float)
+    y_edges = np.column_stack((m, m + a_frac)).ravel()
+    first = np.searchsorted(y_edges, y_ends[:-1], side="right")
+    one_edge = np.searchsorted(y_edges, y_ends[1:], side="left") - first == 1
+    v_e = (y_edges[first] - 0.5 * a_frac) / scale_y
+    # 0 edges: uniform path; >1 edges (under-resolved stripes): keep the
+    # midpoint split, which degrades gracefully to first order.
+    len_left = np.where(one_edge, v_e - v_ends[:-1], 0.5 * dv)
+    len_right = np.where(one_edge, v_ends[1:] - v_e, 0.5 * dv)
+
+    # exp(2u) integrated over each interior row's control span, and nodal /
+    # face values (the face value is the arithmetic nodal mean so the
+    # uniform-film wedge cancels exactly).
+    e_nodes = np.exp(2.0 * u_nodes)
+    return _Coefficients(
+        du=du, dv=dv, s=1.0 / signed_spiral_tangent(bearing), lam=lam,
+        u_nodes=u_nodes, v_nodes=v_nodes, e_nodes=e_nodes,
+        e_face=0.5 * (e_nodes[:-1] + e_nodes[1:]),
+        e_cell=(np.exp(2.0 * (u_nodes[1:-1] + 0.5 * du))
+                - np.exp(2.0 * (u_nodes[1:-1] - 0.5 * du))) / 2.0,
+        h_col=h_col, d_col=h_col ** 3, len_left=len_left, len_right=len_right,
+        s3=len_left / h_left_col ** 3 + len_right / h_right_col ** 3,
+        inv_h2_left=len_left / h_left_col ** 2,
+        inv_h2_right=len_right / h_right_col ** 2,
+        valid_left=np.roll(col_in_groove, 2) == np.roll(col_in_groove, 1),
+        valid_right=np.roll(col_in_groove, -1) == col_in_groove,
+        kinked=h_left_col != h_right_col)
+
+
+def _side_means(co: _Coefficients, field):
+    """Per-face means of a node field over the left/right path sides.
+
+    field has shape (..., rows, n_theta); returns (m_left, m_right) of the
+    same shape.  Kink-free faces use the linear interpolant between the two
+    nodes; kinked faces extrapolate from inside each strip.
+    """
+    g_b = field
+    g_a = np.roll(field, 1, -1)
+    slope_l = np.where(co.valid_left, (g_a - np.roll(field, 2, -1)) / co.dv, 0.0)
+    slope_r = np.where(co.valid_right, (np.roll(field, -1, -1) - g_b) / co.dv, 0.0)
+    m_l_kink = g_a + 0.5 * slope_l * co.len_left
+    m_r_kink = g_b - 0.5 * slope_r * co.len_right
+    m_l_plain = 0.75 * g_a + 0.25 * g_b
+    m_r_plain = 0.25 * g_a + 0.75 * g_b
+    m_l = np.where(co.kinked, m_l_kink, m_l_plain)
+    m_r = np.where(co.kinked, m_r_kink, m_r_plain)
+    return m_l, m_r
+
+
+def _row_terms(co: _Coefficients, q):
+    """Row-local half of the residual at the full field q of shape (...,
+    n_r, n_theta): every term of a node row that reads only that row of q.
+
+    Returns (q, sqrt q, the v-difference of q, the path integral of q over
+    each v-face and the Couette path sum of sqrt(q) / h^2), each of q's
+    shape.
+    """
+    p_nodes = np.sqrt(q)
+    dq_all = q - np.roll(q, 1, -1)
+    m_l_q, m_r_q = _side_means(co, q)
+    i_q = co.len_left * m_l_q + co.len_right * m_r_q
+    m_l_p, m_r_p = _side_means(co, p_nodes)
+    sp = co.inv_h2_left * m_l_p + co.inv_h2_right * m_r_p
+    return q, p_nodes, dq_all, i_q, sp
+
+
+def _cross_rows(co: _Coefficients, terms):
+    """Cross-row half of the residual: the residual of every interior cell,
+    of shape (..., n_r - 2, n_theta), from the row terms of _row_terms.
+
+    v-face fluxes F_B are composed exactly over the land/groove path
+    segments.  The u-face flux F_A needs the cross derivative dvQ, whose
+    raw estimate is polluted by the pressure kinks at groove edges; it is
+    eliminated through the continuous v-flux,
+    F_A = D duQ / (2 (1+s^2)) - s/(1+s^2) (F_B + Lam exp(2u) P H).
+    """
+    q, p_nodes, dq_all, i_q, sp = terms
+    du, dv, s, lam = co.du, co.dv, co.s, co.lam
+    one_plus_s2 = 1.0 + s * s
+    # d/du of the path integral of Q (for the cross term): central at
+    # interior rows, one-sided second order at the boundary rows.
+    di_q = np.empty_like(i_q)
+    di_q[..., 1:-1, :] = (i_q[..., 2:, :] - i_q[..., :-2, :]) / (2.0 * du)
+    di_q[..., 0, :] = (-3.0 * i_q[..., 0, :] + 4.0 * i_q[..., 1, :]
+                       - i_q[..., 2, :]) / (2.0 * du)
+    di_q[..., -1, :] = (3.0 * i_q[..., -1, :] - 4.0 * i_q[..., -2, :]
+                        + i_q[..., -3, :]) / (2.0 * du)
+
+    # Pointwise v-face flux F_B at every node row (continuous in v).
+    fb_rows = (0.5 * one_plus_s2 * dq_all - 0.5 * s * di_q
+               - lam * co.e_nodes[:, None] * sp) / co.s3
+
+    # u-face flux with the cross term eliminated via F_B.
+    fb_at_nodes = 0.5 * (fb_rows + np.roll(fb_rows, -1, -1))
+    fb_uface = 0.5 * (fb_at_nodes[..., :-1, :] + fb_at_nodes[..., 1:, :])
+    p_uface = 0.5 * (p_nodes[..., :-1, :] + p_nodes[..., 1:, :])
+    fa = (co.d_col * (q[..., 1:, :] - q[..., :-1, :]) / (2.0 * one_plus_s2 * du)
+          - (s / one_plus_s2)
+          * (fb_uface + lam * co.e_face[:, None] * p_uface * co.h_col))
+    fu_diff = dv * (fa[..., 1:, :] - fa[..., :-1, :])
+
+    # Cell-integrated v-face fluxes for the interior control volumes.
+    fv = (du * (0.5 * one_plus_s2 * dq_all[..., 1:-1, :]
+                - 0.5 * s * di_q[..., 1:-1, :])
+          - lam * co.e_cell[:, None] * sp[..., 1:-1, :]) / co.s3
+    fv_diff = np.roll(fv, -1, -1) - fv
+
+    return fu_diff + fv_diff
+
+
+def _residual(co: _Coefficients, q):
+    """Residual of every interior cell at the full field q of shape (...,
+    n_r, n_theta)."""
+    return _cross_rows(co, _row_terms(co, q))
+
+
+def _colour_differences(co: _Coefficients, q, base, masks):
+    """Residual differences of the colored finite-difference sweep at the
+    full field q, whose residual is base: one (n_r - 2, n_theta) array per
+    colour of masks, stacked in colour order.
+
+    Colour c = r * n_col + cc perturbs the interior rows of row colour r
+    (every fifth row) at the columns of column colour cc.  Row terms read
+    only their own row, so the colours sharing cc take the perturbed rows'
+    terms from one evaluation with every interior row perturbed at those
+    columns and the other rows' terms from q itself: the row-local half of
+    the residual is evaluated once per column colour, and every difference
+    is bit-identical to one residual call per colour.
+    """
+    eps = 1.0e-7
+    n_r, n_theta = q.shape
+    n_col = len(masks) // 5
+    col_masks = masks.reshape(5, n_col, n_r, n_theta).any(axis=0)
+    # at most `block` perturbed fields per batch of the cross-row stage
+    block = max(1, JACOBIAN_BLOCK_CELLS // q.size)
+    col_step, row_step = max(1, block // 5), min(5, block)
+
+    def put_rows(terms, sources, r):
+        """Copy the rows of row colour r + k of each source term into slot
+        k of the matching batch term."""
+        for term, source in zip(terms, sources):
+            for k in range(len(term)):
+                rows = slice(1 + r + k, n_r - 1, 5)
+                term[k, :, rows] = source[..., rows, :]
+
+    base_terms = _row_terms(co, q)
+    # one batch of fields per term, holding q's row terms outside the rows
+    # that the current colours perturb
+    batch = [np.broadcast_to(held, (row_step, col_step) + held.shape).copy()
+             for held in base_terms]
+    q_eps = q + eps
+    delta = np.empty((5, n_col) + base.shape)
+    for cc in range(0, n_col, col_step):
+        perturbed = _row_terms(co, np.where(col_masks[cc:cc + col_step], q_eps, q))
+        n_cc = len(perturbed[0])
+        for r in range(0, 5, row_step):
+            n_rc = min(row_step, 5 - r)
+            terms = [field[:n_rc, :n_cc] for field in batch]
+            put_rows(terms, perturbed, r)
+            delta[r:r + n_rc, cc:cc + n_cc] = (_cross_rows(co, terms) - base) / eps
+            put_rows(terms, base_terms, r)
+    return delta
+
+
+def _jacobian(co: _Coefficients, q, base):
+    """Colored finite-difference Jacobian of the residual at the full field
+    q, whose residual is base; CSC without explicit zeros."""
+    masks, gather, indices, indptr = _jacobian_pattern(q.shape[0] - 2, q.shape[1])
+    delta = _colour_differences(co, q, base, masks)
+    # eliminate_zeros compacts indices and indptr in place
+    jac = csc_matrix((delta.ravel()[gather], indices.copy(), indptr.copy()),
+                     shape=(base.size, base.size))
+    jac.eliminate_zeros()
+    return jac
+
+
 def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
                    n_r: int, n_theta: int,
                    factor: JacobianFactor | None = None) -> PressureField:
@@ -323,88 +568,10 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
     if n_theta % 4 != 0:
         raise ValueError("n_theta must be a multiple of 4")
     p_amb = film.ambient_pressure
-    clearance = film.nominal_clearance
-    k = signed_spiral_tangent(bearing)
-    s = 1.0 / k
-    # compressibility_number carries the rotation sign through omega
-    lam = (compressibility_number(bearing, film)
-           * (bearing.inner_radius / bearing.outer_radius) ** 2)
-
-    u_span = math.log(bearing.outer_radius / bearing.inner_radius)
-    du = u_span / (n_r - 1)
-    dv = 2.0 * math.pi / n_theta
-    u_nodes = np.linspace(0.0, u_span, n_r)
-    v_nodes = (np.arange(n_theta) + 0.5) * dv
-
-    h_land = 1.0
-    h_groove = (clearance + bearing.groove_depth) / clearance
-
-    # Column film values (strips are v = const bands).
-    col_in_groove = in_groove(bearing, bearing.inner_radius, v_nodes)
-    h_col = np.where(col_in_groove, h_groove, h_land)
-    d_col = h_col ** 3
-
-    # v-face path geometry.  Face j sits between columns j-1 and j; the path
-    # between the two nodes may contain one groove edge whose position is
-    # known analytically.  Each side's film value and length feed the exact
-    # series composites; field means over each side come from within-strip
-    # linear reconstruction so that the composites stay second-order
-    # accurate across the film step.  In stripe units y the edges sit at the
-    # integers and at the integers plus a_frac, in ascending order.
-    h_left_col = np.roll(h_col, 1)  # film at node j-1 for face j
-    h_right_col = h_col
-    a_frac = bearing.groove_width_fraction
-    scale_y = bearing.groove_count / (2.0 * math.pi)
-    v_ends = (np.arange(n_theta + 1) - 0.5) * dv  # face j spans v_ends[j:j+2]
-    y_ends = v_ends * scale_y + 0.5 * a_frac
-    m = np.arange(math.floor(y_ends[0]), math.floor(y_ends[-1]) + 2, dtype=float)
-    y_edges = np.column_stack((m, m + a_frac)).ravel()
-    first = np.searchsorted(y_edges, y_ends[:-1], side="right")
-    one_edge = np.searchsorted(y_edges, y_ends[1:], side="left") - first == 1
-    v_e = (y_edges[first] - 0.5 * a_frac) / scale_y
-    # 0 edges: uniform path; >1 edges (under-resolved stripes): keep the
-    # midpoint split, which degrades gracefully to first order.
-    len_left = np.where(one_edge, v_e - v_ends[:-1], 0.5 * dv)
-    len_right = np.where(one_edge, v_ends[1:] - v_e, 0.5 * dv)
-    s3 = len_left / h_left_col ** 3 + len_right / h_right_col ** 3
-    inv_h2_left = len_left / h_left_col ** 2
-    inv_h2_right = len_right / h_right_col ** 2
-
-    # Within-strip slope validity for the reconstruction.
-    valid_left = np.roll(col_in_groove, 2) == np.roll(col_in_groove, 1)
-    valid_right = np.roll(col_in_groove, -1) == col_in_groove
-    kinked = h_left_col != h_right_col
-
-    def side_means(field):
-        """Per-face means of a node field over the left/right path sides.
-
-        field has shape (..., rows, n_theta); returns (m_left, m_right) of
-        the same shape.  Kink-free faces use the linear interpolant between
-        the two nodes; kinked faces extrapolate from inside each strip.
-        """
-        g_b = field
-        g_a = np.roll(field, 1, -1)
-        slope_l = np.where(valid_left, (g_a - np.roll(field, 2, -1)) / dv, 0.0)
-        slope_r = np.where(valid_right, (np.roll(field, -1, -1) - g_b) / dv, 0.0)
-        m_l_kink = g_a + 0.5 * slope_l * len_left
-        m_r_kink = g_b - 0.5 * slope_r * len_right
-        m_l_plain = 0.75 * g_a + 0.25 * g_b
-        m_r_plain = 0.25 * g_a + 0.75 * g_b
-        m_l = np.where(kinked, m_l_kink, m_l_plain)
-        m_r = np.where(kinked, m_r_kink, m_r_plain)
-        return m_l, m_r
-
-    # exp(2u) integrated over each interior row's control span, and nodal /
-    # face values (the face value is the arithmetic nodal mean so the
-    # uniform-film wedge cancels exactly).
-    e_cell = (np.exp(2.0 * (u_nodes[1:-1] + 0.5 * du))
-              - np.exp(2.0 * (u_nodes[1:-1] - 0.5 * du))) / 2.0
-    e_nodes = np.exp(2.0 * u_nodes)
-    e_face = 0.5 * (e_nodes[:-1] + e_nodes[1:])
-
-    n_rows = n_r - 2
-    n_unknown = n_rows * n_theta
+    co = _coefficients(bearing, film, n_r, n_theta)
+    du, dv, s, lam, e_cell, s3 = co.du, co.dv, co.s, co.lam, co.e_cell, co.s3
     one_plus_s2 = 1.0 + s * s
+    n_rows = n_r - 2
 
     def full_field(q_int):
         q = np.empty((n_r, n_theta))
@@ -413,96 +580,27 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
         q[1:-1, :] = q_int
         return q
 
-    def fluxes(q):
-        """Residual of every interior cell, for q of shape (..., n_r, n_theta).
-
-        v-face fluxes F_B are composed exactly over the land/groove path
-        segments.  The u-face flux F_A needs the cross derivative dvQ,
-        whose raw estimate is polluted by the pressure kinks at groove
-        edges; it is eliminated through the continuous v-flux,
-        F_A = D duQ / (2 (1+s^2)) - s/(1+s^2) (F_B + Lam exp(2u) P H).
-        """
-        p_nodes = np.sqrt(q)
-        dq_all = q - np.roll(q, 1, -1)
-        # d/du of the path integral of Q (for the cross term): central at
-        # interior rows, one-sided second order at the boundary rows.
-        m_l_q, m_r_q = side_means(q)
-        i_q = len_left * m_l_q + len_right * m_r_q
-        di_q = np.empty_like(i_q)
-        di_q[..., 1:-1, :] = (i_q[..., 2:, :] - i_q[..., :-2, :]) / (2.0 * du)
-        di_q[..., 0, :] = (-3.0 * i_q[..., 0, :] + 4.0 * i_q[..., 1, :]
-                           - i_q[..., 2, :]) / (2.0 * du)
-        di_q[..., -1, :] = (3.0 * i_q[..., -1, :] - 4.0 * i_q[..., -2, :]
-                            + i_q[..., -3, :]) / (2.0 * du)
-        # Couette path sum of P / h^2
-        m_l_p, m_r_p = side_means(p_nodes)
-        sp = inv_h2_left * m_l_p + inv_h2_right * m_r_p
-
-        # Pointwise v-face flux F_B at every node row (continuous in v).
-        fb_rows = (0.5 * one_plus_s2 * dq_all - 0.5 * s * di_q
-                   - lam * e_nodes[:, None] * sp) / s3
-
-        # u-face flux with the cross term eliminated via F_B.
-        fb_at_nodes = 0.5 * (fb_rows + np.roll(fb_rows, -1, -1))
-        fb_uface = 0.5 * (fb_at_nodes[..., :-1, :] + fb_at_nodes[..., 1:, :])
-        p_uface = 0.5 * (p_nodes[..., :-1, :] + p_nodes[..., 1:, :])
-        fa = (d_col * (q[..., 1:, :] - q[..., :-1, :]) / (2.0 * one_plus_s2 * du)
-              - (s / one_plus_s2)
-              * (fb_uface + lam * e_face[:, None] * p_uface * h_col))
-        fu_diff = dv * (fa[..., 1:, :] - fa[..., :-1, :])
-
-        # Cell-integrated v-face fluxes for the interior control volumes.
-        fv = (du * (0.5 * one_plus_s2 * dq_all[..., 1:-1, :]
-                    - 0.5 * s * di_q[..., 1:-1, :])
-              - lam * e_cell[:, None] * sp[..., 1:-1, :]) / s3
-        fv_diff = np.roll(fv, -1, -1) - fv
-
-        return fu_diff + fv_diff
-
     # Per-node magnitude of the flux terms, the yardstick of convergence.
-    scale = (2.0 * dv * d_col[None, :] / (one_plus_s2 * du)
+    couette = (co.inv_h2_left + co.inv_h2_right) / s3
+    scale = (2.0 * dv * co.d_col[None, :] / (one_plus_s2 * du)
              + 2.0 * dv * abs(s) / one_plus_s2
-             * (1.0 + abs(lam) * e_cell[:, None] / du * h_col[None, :])
+             * (1.0 + abs(lam) * e_cell[:, None] / du * co.h_col[None, :])
              + du * one_plus_s2 * (1.0 / s3 + 1.0 / np.roll(s3, -1))[None, :]
-             + abs(lam) * e_cell[:, None]
-             * ((inv_h2_left + inv_h2_right) / s3
-                + np.roll((inv_h2_left + inv_h2_right) / s3, -1))[None, :]
+             + abs(lam) * e_cell[:, None] * (couette + np.roll(couette, -1))[None, :]
              + 0.5 * abs(s) * dv
              * (1.0 / s3 + 1.0 / np.roll(s3, -1))[None, :])
-
-    # Colored finite differences: the residual stencil reaches two rows and
-    # two columns each way, and no stencil holds two cells of one colour.
-    masks, gather, indices, indptr = _jacobian_pattern(n_rows, n_theta)
-    block = max(1, JACOBIAN_BLOCK_CELLS // (n_r * n_theta))
-
-    def jacobian(q, base):
-        """Colored finite-difference Jacobian of the residual at the full
-        field q, whose residual is base; CSC without explicit zeros."""
-        eps = 1.0e-7
-        delta = np.empty((len(masks), n_unknown))
-        q_eps = q + eps
-        for c in range(0, len(masks), block):
-            # one perturbed copy of q per colour of the block
-            mask = masks[c:c + block]
-            delta[c:c + len(mask)] = ((fluxes(np.where(mask, q_eps, q)) - base) / eps
-                                      ).reshape(len(mask), n_unknown)
-        # eliminate_zeros compacts indices and indptr in place
-        jac = csc_matrix((delta.ravel()[gather], indices.copy(), indptr.copy()),
-                         shape=(n_unknown, n_unknown))
-        jac.eliminate_zeros()
-        return jac
 
     if factor is None:
         factor = JacobianFactor()
     q_int = np.ones((n_rows, n_theta))
-    f = fluxes(full_field(q_int))
+    f = _residual(co, full_field(q_int))
     history = []
     for iteration in range(NEWTON_MAX_ITERATIONS):
         res = float(np.max(np.abs(f) / scale))
         history.append(res)
         if res < NEWTON_TOLERANCE:
             break
-        step = _newton_step(jacobian(full_field(q_int), f), -f.ravel(), factor
+        step = _newton_step(_jacobian(co, full_field(q_int), f), -f.ravel(), factor
                             ).reshape(n_rows, n_theta)
         norm0 = float(np.linalg.norm(f))
         alpha = 1.0
@@ -511,7 +609,7 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
             if np.min(trial) <= 0.01:
                 alpha *= 0.5
                 continue
-            f_trial = fluxes(full_field(trial))
+            f_trial = _residual(co, full_field(trial))
             if float(np.linalg.norm(f_trial)) <= (1.0 - 1e-4 * alpha) * norm0:
                 break
             alpha *= 0.5
@@ -525,8 +623,9 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
             f"{NEWTON_MAX_ITERATIONS} iterations (last {history[-1]:.3e})", history)
 
     pressures = np.sqrt(full_field(q_int)) * p_amb
-    radii = bearing.inner_radius * np.exp(u_nodes)
-    angles = np.mod(v_nodes[None, :] + u_nodes[:, None] / k, 2.0 * math.pi)
+    radii = bearing.inner_radius * np.exp(co.u_nodes)
+    angles = np.mod(co.v_nodes[None, :] + co.u_nodes[:, None] / signed_spiral_tangent(bearing),
+                    2.0 * math.pi)
     return PressureField(radii=radii, angles=angles, pressures=pressures,
                          ambient_pressure=p_amb)
 
@@ -605,12 +704,16 @@ def narrow_groove_reference(bearing: SpiralGrooveBearing, film: FilmState) -> fl
 
 
 def axial_stiffness(bearing: SpiralGrooveBearing, film: FilmState,
-                    n_r: int, n_theta: int, relative_step: float = 1.0e-3) -> float:
+                    n_r: int, n_theta: int, relative_step: float = 1.0e-3,
+                    factor: JacobianFactor | None = None) -> float:
     """Central-difference stiffness -dW/dc, N/m (positive = restoring).
 
-    The c - dc solve refines against the factor of the c + dc solve."""
+    The c + dc solve refines against the factor held in `factor` (say, of
+    a solve of film itself), and the c - dc solve against the one the
+    c + dc solve leaves."""
     dc = relative_step * film.nominal_clearance
-    factor = JacobianFactor()
+    if factor is None:
+        factor = JacobianFactor()
     load_hi = solve_load(bearing, replace(film, nominal_clearance=film.nominal_clearance + dc),
                          n_r, n_theta, factor)
     load_lo = solve_load(bearing, replace(film, nominal_clearance=film.nominal_clearance - dc),

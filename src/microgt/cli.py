@@ -212,7 +212,9 @@ def run_bearing(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
     if sweep:
         films = [c.film_state for c in _swept(config, "bearing", sweep)]
 
-    field = br.solve_reynolds(top, film, n_r, n_theta)
+    # the load-map and stiffness solves refine against the field solve's factor
+    factor = br.JacobianFactor()
+    field = br.solve_reynolds(top, film, n_r, n_theta, factor)
     rows = []
     for i in range(field.radii.size):
         for j in range(field.angles.shape[1]):
@@ -243,9 +245,10 @@ def run_bearing(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
             load = br.load_capacity(field)
         else:
             check_regime(top, f)
-            load = br.solve_load(top, f, n_r, n_theta)
-        stiff = br.axial_stiffness(top, f, n_r, n_theta)
+            load = br.solve_load(top, f, n_r, n_theta, factor)
+        stiff = br.axial_stiffness(top, f, n_r, n_theta, factor=factor)
         load_rows.append([f.nominal_clearance, f.rpm, load, stiff])
+    del factor  # free the held LU before the equilibrium makes its own
     bundle.tables["loadmap.csv"] = (
         ["clearance_m", "rpm", "load_N", "stiffness_N_per_m"], load_rows)
 

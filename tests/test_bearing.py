@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import splu
 
 from microgt import bearing as br
 from microgt.bearing import FilmState, PressureField, SpiralGrooveBearing
@@ -308,6 +310,70 @@ def test_batched_colour_sweep_keeps_loads(n_r, n_theta, clearance, rpm, load_in,
         load = br.solve_load(SpiralGrooveBearing(pump_direction=pump), film,
                              n_r, n_theta)
         assert load == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def per_colour_jacobian(co, q, base):
+    """Reference colored Jacobian: one full residual call per colour, CSR
+    with exact zeros dropped and sorted indices."""
+    eps = 1.0e-7
+    n_r, n_theta = q.shape
+    source, target, entry_colour, colour = br._colored_stencil(n_r - 2, n_theta)
+    node_colour = np.pad(colour, ((1, 1), (0, 0)), constant_values=-1)
+    delta = np.stack([
+        ((br._residual(co, np.where(node_colour == c, q + eps, q)) - base) / eps).ravel()
+        for c in range(int(colour.max()) + 1)])
+    jac = csr_matrix((delta[entry_colour, target], (target, source)),
+                     shape=(base.size, base.size))
+    jac.eliminate_zeros()
+    jac.sort_indices()
+    return jac
+
+
+@pytest.mark.parametrize("pump", ["pump-in", "pump-out"])
+@pytest.mark.parametrize("n_r, n_theta", [(33, 64), (33, 80), (65, 96), (129, 192)])
+def test_jacobian_matches_one_residual_call_per_colour(n_r, n_theta, pump):
+    """The row-local half of the residual, evaluated once per column colour,
+    leaves every Jacobian value bit-identical, at q = 1 and after one Newton
+    step at Lambda 30."""
+    film = FilmState(nominal_clearance=1.5e-6, rpm=121500.0)
+    co = br._coefficients(SpiralGrooveBearing(pump_direction=pump), film, n_r, n_theta)
+
+    def check(q):
+        base = br._residual(co, q)
+        jac = br._jacobian(co, q, base)
+        csr = jac.tocsr()
+        csr.sort_indices()
+        expected = per_colour_jacobian(co, q, base)
+        assert np.array_equal(csr.indptr, expected.indptr)
+        assert np.array_equal(csr.indices, expected.indices)
+        assert np.array_equal(csr.data, expected.data)
+        return jac, base
+
+    q = np.ones((n_r, n_theta))
+    jac, base = check(q)
+    q[1:-1] += splu(jac).solve(-base.ravel()).reshape(n_r - 2, n_theta)
+    assert q.min() > 0.0
+    check(q)
+
+
+@pytest.mark.parametrize("n_theta, n_col", [(64, 6), (80, 5)])
+def test_jacobian_evaluates_row_terms_once_per_column_colour(monkeypatch, n_theta,
+                                                             n_col):
+    co = br._coefficients(BEARING, FILM, 33, n_theta)
+    q = np.ones((33, n_theta))
+    base = br._residual(co, q)
+    fields = []
+    row_terms = br._row_terms
+
+    def counted(co, q):
+        fields.append(q.shape[:-2])
+        return row_terms(co, q)
+
+    monkeypatch.setattr(br, "_row_terms", counted)
+    br._jacobian(co, q, base)
+    assert len(br._jacobian_pattern(31, n_theta)[0]) == 5 * n_col  # colours
+    assert fields[0] == ()  # q itself
+    assert sum(math.prod(shape) for shape in fields[1:]) == n_col  # perturbed copies
 
 
 def count_calls(monkeypatch, name):
