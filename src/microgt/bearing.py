@@ -62,9 +62,9 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
+from .gas import AIR_VISCOSITY
 from .params import check, param
 
-AIR_VISCOSITY = 1.85e-5  # Pa s, room-temperature film
 MIN_RADIAL_NODES = 33  # 32 radial intervals
 MIN_ANGULAR_NODES = 64
 # Largest compressibility number of the verification battery; runs beyond it
@@ -188,19 +188,6 @@ def in_groove(bearing: SpiralGrooveBearing, r, theta):
     s = np.mod(psi * bearing.groove_count / (2.0 * math.pi)
                + 0.5 * bearing.groove_width_fraction, 1.0)
     return s < bearing.groove_width_fraction
-
-
-def film_thickness(bearing: SpiralGrooveBearing, film: FilmState, r, theta):
-    """Local film thickness, m: clearance plus groove depth inside grooves."""
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < bearing.inner_radius) or np.any(r_arr > bearing.outer_radius):
-        raise ValueError(
-            f"radius outside [{bearing.inner_radius}, {bearing.outer_radius}] m"
-        )
-    h = np.where(in_groove(bearing, r_arr, theta),
-                 film.nominal_clearance + bearing.groove_depth,
-                 film.nominal_clearance)
-    return float(h) if np.isscalar(r) and np.isscalar(theta) else h
 
 
 def compressibility_number(bearing: SpiralGrooveBearing, film: FilmState) -> float:
@@ -482,20 +469,21 @@ def _residual(co: _Coefficients, q):
     return _cross_rows(co, _row_terms(co, q))
 
 
-def _colour_differences(co: _Coefficients, q, base, masks):
+def _colour_differences(co: _Coefficients, base_terms, base, masks):
     """Residual differences of the colored finite-difference sweep at the
-    full field q, whose residual is base: one (n_r - 2, n_theta) array per
-    colour of masks, stacked in colour order.
+    full field q, whose row terms are base_terms and residual is base: one
+    (n_r - 2, n_theta) array per colour of masks, stacked in colour order.
 
     Colour c = r * n_col + cc perturbs the interior rows of row colour r
     (every fifth row) at the columns of column colour cc.  Row terms read
     only their own row, so the colours sharing cc take the perturbed rows'
     terms from one evaluation with every interior row perturbed at those
-    columns and the other rows' terms from q itself: the row-local half of
-    the residual is evaluated once per column colour, and every difference
-    is bit-identical to one residual call per colour.
+    columns and the other rows' terms from base_terms: the row-local half
+    of the residual is evaluated once per column colour, and every
+    difference is bit-identical to one residual call per colour.
     """
     eps = 1.0e-7
+    q = base_terms[0]
     n_r, n_theta = q.shape
     n_col = len(masks) // 5
     col_masks = masks.reshape(5, n_col, n_r, n_theta).any(axis=0)
@@ -511,7 +499,6 @@ def _colour_differences(co: _Coefficients, q, base, masks):
                 rows = slice(1 + r + k, n_r - 1, 5)
                 term[k, :, rows] = source[..., rows, :]
 
-    base_terms = _row_terms(co, q)
     # one batch of fields per term, holding q's row terms outside the rows
     # that the current colours perturb
     batch = [np.broadcast_to(held, (row_step, col_step) + held.shape).copy()
@@ -530,11 +517,13 @@ def _colour_differences(co: _Coefficients, q, base, masks):
     return delta
 
 
-def _jacobian(co: _Coefficients, q, base):
+def _jacobian(co: _Coefficients, terms, base):
     """Colored finite-difference Jacobian of the residual at the full field
-    q, whose residual is base; CSC without explicit zeros."""
-    masks, gather, indices, indptr = _jacobian_pattern(q.shape[0] - 2, q.shape[1])
-    delta = _colour_differences(co, q, base, masks)
+    q, whose row terms (_row_terms) are terms and residual is base; CSC
+    without explicit zeros."""
+    n_r, n_theta = terms[0].shape
+    masks, gather, indices, indptr = _jacobian_pattern(n_r - 2, n_theta)
+    delta = _colour_differences(co, terms, base, masks)
     # eliminate_zeros compacts indices and indptr in place
     jac = csc_matrix((delta.ravel()[gather], indices.copy(), indptr.copy()),
                      shape=(base.size, base.size))
@@ -593,14 +582,15 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
     if factor is None:
         factor = JacobianFactor()
     q_int = np.ones((n_rows, n_theta))
-    f = _residual(co, full_field(q_int))
+    terms = _row_terms(co, full_field(q_int))
+    f = _cross_rows(co, terms)
     history = []
     for iteration in range(NEWTON_MAX_ITERATIONS):
         res = float(np.max(np.abs(f) / scale))
         history.append(res)
         if res < NEWTON_TOLERANCE:
             break
-        step = _newton_step(_jacobian(co, full_field(q_int), f), -f.ravel(), factor
+        step = _newton_step(_jacobian(co, terms, f), -f.ravel(), factor
                             ).reshape(n_rows, n_theta)
         norm0 = float(np.linalg.norm(f))
         alpha = 1.0
@@ -609,14 +599,15 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
             if np.min(trial) <= 0.01:
                 alpha *= 0.5
                 continue
-            f_trial = _residual(co, full_field(trial))
+            trial_terms = _row_terms(co, full_field(trial))
+            f_trial = _cross_rows(co, trial_terms)
             if float(np.linalg.norm(f_trial)) <= (1.0 - 1e-4 * alpha) * norm0:
                 break
             alpha *= 0.5
         else:
             raise SolverError(
                 f"line search stalled at iteration {iteration}", history)
-        q_int, f = trial, f_trial
+        q_int, terms, f = trial, trial_terms, f_trial
     else:
         raise SolverError(
             f"Newton did not reach residual {NEWTON_TOLERANCE:g} in "

@@ -106,7 +106,7 @@ def run_cycle(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
           perf.specific_fuel_consumption]],
     )
     target = config.raw["cycle"]["target_net_power_w"]
-    phi = cb.equivalence_ratio(design.fuel_mass_flow, design.air_mass_flow)
+    phi = gas.equivalence_ratio(design.fuel_mass_flow, design.air_mass_flow)
     bundle.summary += [
         f"cycle: net power {perf.net_power:.3f} W (design target {target:.1f} W)",
         f"cycle: compressor {perf.compressor_power:.3f} W, turbine {perf.turbine_power:.3f} W",
@@ -301,7 +301,7 @@ def run(subcommand: str, config: ScenarioConfig, out_dir: Path, sweep=None) -> i
 
     if subcommand == "all":
         design = config.cycle_design
-        phi = cb.equivalence_ratio(design.fuel_mass_flow, design.air_mass_flow)
+        phi = gas.equivalence_ratio(design.fuel_mass_flow, design.air_mass_flow)
         bundle.summary.append(
             f"cross-check: cycle flows give combustor phi = {phi:.4f}")
 

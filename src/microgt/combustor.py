@@ -29,7 +29,6 @@ from .params import ConvergenceError, bracketed_root, check, param
 
 # Transport surrogate: power-law viscosity with constant Prandtl number.
 PRANDTL = 0.70
-VISCOSITY_REF = 1.85e-5  # Pa s at 300 K
 VISCOSITY_EXPONENT = 0.7
 NU_CHANNEL = 7.54  # laminar parallel-plate value, used for the recuperator
 INTERIOR_EFFECTIVENESS = 0.90  # fraction of capacity flux equilibrating with the wall
@@ -111,8 +110,6 @@ class ChemicalTimeModel:
 
 
 DEFAULT_CHEMISTRY = ChemicalTimeModel()
-CHEM_PREFACTOR = DEFAULT_CHEMISTRY.prefactor  # s
-DA_CRITICAL = DEFAULT_CHEMISTRY.da_critical
 
 
 @dataclass(frozen=True)
@@ -125,28 +122,9 @@ class StabilityResult:
     wall_temperature: float  # K
 
 
-@dataclass(frozen=True)
-class ExitTemperatureResult:
-    exit_temperature: float  # K
-    wall_temperature: float  # K
-    reacting: bool  # False -> non-reacting mixed temperature reported
-
-
 def viscosity(t: float) -> float:
     """Power-law gas viscosity, Pa s."""
-    return VISCOSITY_REF * (t / 300.0) ** VISCOSITY_EXPONENT
-
-
-def stoichiometric_fuel_air_ratio() -> float:
-    """Stoichiometric H2/air mass ratio for the fixed dry-air composition."""
-    return gas.fuel_air_mass_ratio(1.0)
-
-
-def equivalence_ratio(fuel_mass_flow: float, air_mass_flow: float) -> float:
-    """Actual fuel/air mass ratio over the stoichiometric one."""
-    if fuel_mass_flow < 0.0 or air_mass_flow <= 0.0:
-        raise ValueError("flows must satisfy fuel >= 0 and air > 0")
-    return (fuel_mass_flow / air_mass_flow) / stoichiometric_fuel_air_ratio()
+    return gas.AIR_VISCOSITY * (t / 300.0) ** VISCOSITY_EXPONENT
 
 
 def adiabatic_flame_temperature(phi: float, inlet_temperature: float) -> float:
@@ -166,33 +144,34 @@ def adiabatic_flame_temperature(phi: float, inlet_temperature: float) -> float:
                           gas.T_MIN, 3400.0, "adiabatic flame temperature")
 
 
-def _recuperator_ntu(geometry: CombustorGeometry, mixture, total_mass_flow: float,
-                     film_temperature: float) -> float:
+def _recuperator(geometry: CombustorGeometry, mixture, mdot: float,
+                 t_in: float, t_wall: float):
+    """Effectiveness eps = 1 - exp(-NTU) of the mixture stream against an
+    isothermal wall, and its capacity rate mdot cp (W/K), with cp and the
+    film conductivity at the film temperature (t_in + t_wall) / 2."""
     # Flat channel of width W and gap D_h/2: NTU = Nu k W L / (b mdot cp).
-    cp_mix = gas.cp_mass(mixture, film_temperature)
-    k_film = cp_mix * viscosity(film_temperature) / PRANDTL
+    t_film = 0.5 * (t_wall + t_in)
+    cp_mix = gas.cp_mass(mixture, t_film)
+    k_film = cp_mix * viscosity(t_film) / PRANDTL
     gap = 0.5 * geometry.recirculation_hydraulic_diameter
     area_term = geometry.recirculation_channel_width * geometry.recirculation_channel_length
-    return NU_CHANNEL * k_film * area_term / (gap * total_mass_flow * cp_mix)
+    ntu = NU_CHANNEL * k_film * area_term / (gap * mdot * cp_mix)
+    return 1.0 - math.exp(-ntu), mdot * cp_mix
 
 
 def recuperator_preheat(geometry: CombustorGeometry, op: CombustorOperatingPoint,
                         wall_temperature: float):
     """Preheated mixture temperature and the heat drawn from the wall.
 
-    Effectiveness model for one stream against an isothermal wall:
-    eps = 1 - exp(-NTU).  Returns (T_preheat K, heat W).
+    Returns (T_preheat K, heat W); see _recuperator.
     """
-    if wall_temperature < op.inlet_temperature:
+    t_in = op.inlet_temperature
+    if wall_temperature < t_in:
         raise ValueError("wall temperature must be at or above the inlet temperature")
-    mixture = gas.unburned_mixture(op.equivalence_ratio)
-    mdot = op.total_mass_flow
-    t_film = 0.5 * (wall_temperature + op.inlet_temperature)
-    ntu = _recuperator_ntu(geometry, mixture, mdot, t_film)
-    eps = 1.0 - math.exp(-ntu)
-    t_pre = op.inlet_temperature + eps * (wall_temperature - op.inlet_temperature)
-    heat = mdot * gas.cp_mass(mixture, t_film) * (t_pre - op.inlet_temperature)
-    return t_pre, heat
+    eps, capacity = _recuperator(geometry, gas.unburned_mixture(op.equivalence_ratio),
+                                 op.total_mass_flow, t_in, wall_temperature)
+    t_pre = t_in + eps * (wall_temperature - t_in)
+    return t_pre, capacity * (t_pre - t_in)
 
 
 def residence_time(geometry: CombustorGeometry, op: CombustorOperatingPoint,
@@ -249,11 +228,9 @@ def _solve_thermal(geometry: CombustorGeometry, op: CombustorOperatingPoint,
 
     def wall_update(t_w):
         t_e = exit_for_wall(t_w)
-        t_film = 0.5 * (t_w + t_in)
-        ntu = _recuperator_ntu(geometry, mixture, mdot, t_film)
-        eps = 1.0 - math.exp(-ntu)
+        eps, capacity = _recuperator(geometry, mixture, mdot, t_in, t_w)
         g_int = INTERIOR_EFFECTIVENESS * mdot * gas.cp_mass(products, t_e)
-        k_rec = mdot * gas.cp_mass(mixture, t_film) * eps
+        k_rec = capacity * eps
         return ((g_int * t_e + g_loss * ambient_temperature + k_rec * t_in)
                 / (g_int + g_loss + k_rec)), t_e, eps
 
@@ -271,20 +248,6 @@ def _solve_thermal(geometry: CombustorGeometry, op: CombustorOperatingPoint,
     _, t_e, eps = wall_update(t_w)
     t_pre = t_in + eps * (t_w - t_in)
     return t_e, t_w, t_pre
-
-
-def exit_temperature(geometry: CombustorGeometry,
-                     op: CombustorOperatingPoint) -> ExitTemperatureResult:
-    """Loss-corrected exit and wall temperatures.
-
-    For a stable point the exit temperature is the adiabatic value minus the
-    exterior wall loss G (T_wall - T_amb).  An unstable point reports the
-    non-reacting mixed temperature with reacting=False so that sweeps stay
-    total.
-    """
-    result = stability(geometry, op)
-    return ExitTemperatureResult(result.exit_temperature, result.wall_temperature,
-                                 reacting=result.stable)
 
 
 def stability(geometry: CombustorGeometry, op: CombustorOperatingPoint,

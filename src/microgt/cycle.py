@@ -15,8 +15,6 @@ from . import gas
 from .gas import AIR, GasState, POLYNOMIAL
 from .params import bracketed_root, check, param
 
-STATION_LABELS = ("inlet", "compressor-exit", "combustor-exit", "turbine-exit")
-
 
 @dataclass(frozen=True)
 class CycleDesignPoint:
@@ -124,16 +122,16 @@ def combust(inlet: GasState, air_mass_flow: float, fuel_mass_flow: float,
 
     on sensible enthalpies, by a bracketed root solve on [250 K, 3000 K].
     Fuel enters at fuel_temperature (defaults to the inlet temperature)
-    fully premixed.
+    fully premixed.  Without fuel the inlet state passes through at the
+    exit pressure; fuel without air raises ValueError.
     """
-    phi = gas.fuel_air_mass_ratio(1.0)
-    phi = (fuel_mass_flow / air_mass_flow) / phi if air_mass_flow > 0 else 0.0
     p_exit = inlet.pressure * sigma_combustor
     if fuel_mass_flow == 0.0:
         return GasState(inlet.composition, inlet.temperature, p_exit)
 
     if fuel_temperature is None:
         fuel_temperature = inlet.temperature
+    phi = gas.equivalence_ratio(fuel_mass_flow, air_mass_flow)
     products = gas.burned_composition(phi)  # RichMixtureError above phi = 1
     mdot_out = air_mass_flow + fuel_mass_flow
     h_in_flux = (air_mass_flow * props.sensible_enthalpy_mass(inlet.composition, inlet.temperature)

@@ -26,6 +26,7 @@ from .params import check, param
 
 R_UNIVERSAL = 8.314462618  # J/(mol K)
 T_REFERENCE = 298.15  # K, sensible-enthalpy datum
+AIR_VISCOSITY = 1.85e-5  # Pa s at 300 K
 
 # Dry air by mole, water vapour ignored.
 AIR_MOLE_FRACTIONS = {"N2": 0.7808, "O2": 0.2095, "Ar": 0.0097}
@@ -281,6 +282,13 @@ def fuel_air_mass_ratio(phi: float) -> float:
     x_o2 = AIR_MOLE_FRACTIONS["O2"]
     m_air = mixture_molar_mass(AIR)
     return 2.0 * phi * x_o2 * species("H2").molar_mass / m_air
+
+
+def equivalence_ratio(fuel_mass_flow: float, air_mass_flow: float) -> float:
+    """Actual fuel/air mass ratio over the stoichiometric one."""
+    if fuel_mass_flow < 0.0 or air_mass_flow <= 0.0:
+        raise ValueError("flows must satisfy fuel >= 0 and air > 0")
+    return (fuel_mass_flow / air_mass_flow) / fuel_air_mass_ratio(1.0)
 
 
 def unburned_mixture(phi: float) -> GasComposition:

@@ -24,7 +24,6 @@ GRAVITY = 9.80665  # m/s^2
 
 @dataclass(frozen=True)
 class RotorGeometry:
-    blade_count: int = param("blade_count", 17, "[2, inf)")
     outer_diameter: float = param("outer_diameter_m", 8.2e-3, "(0, inf)")
     inner_diameter: float = param("inner_diameter_m", 4.4e-3, "(0, inf)")
     # half of the 0.8 mm wafer
@@ -146,12 +145,6 @@ def design_rpm_for_zero_incidence(radius: float, mass_flow: float,
 def euler_specific_work(inlet: VelocityTriangle, exit: VelocityTriangle) -> float:
     """Euler turbomachinery work U_in Ctheta_in - U_out Ctheta_out, J/kg."""
     return inlet.blade_speed * inlet.tangential - exit.blade_speed * exit.tangential
-
-
-def rotor_power(inlet: VelocityTriangle, exit: VelocityTriangle,
-                mass_flow: float) -> float:
-    """Shaft power mdot * Euler work, W."""
-    return mass_flow * euler_specific_work(inlet, exit)
 
 
 def cold_drive_derate(hot_state: GasState, cold_state: GasState,

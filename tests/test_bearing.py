@@ -15,20 +15,13 @@ BEARING = SpiralGrooveBearing()
 FILM = FilmState()
 
 
-def test_film_thickness_land_and_groove():
-    # the groove bands are centered on the seed spirals
+def test_in_groove_bands_centred_on_seed_spirals():
     k = br.signed_spiral_tangent(BEARING)
     r = 1.5e-3
     theta_groove = math.log(r / BEARING.inner_radius) / k  # psi = 0, band center
     theta_land = theta_groove + math.pi / BEARING.groove_count  # half a pitch away
-    assert br.film_thickness(BEARING, FILM, r, theta_groove) == \
-        FILM.nominal_clearance + BEARING.groove_depth
-    assert br.film_thickness(BEARING, FILM, r, theta_land) == FILM.nominal_clearance
-
-
-def test_film_thickness_domain_error():
-    with pytest.raises(ValueError):
-        br.film_thickness(BEARING, FILM, 0.5e-3, 0.0)
+    assert br.in_groove(BEARING, r, theta_groove)
+    assert not br.in_groove(BEARING, r, theta_land)
 
 
 def test_groove_area_fraction_monte_carlo():
@@ -340,7 +333,7 @@ def test_jacobian_matches_one_residual_call_per_colour(n_r, n_theta, pump):
 
     def check(q):
         base = br._residual(co, q)
-        jac = br._jacobian(co, q, base)
+        jac = br._jacobian(co, br._row_terms(co, q), base)
         csr = jac.tocsr()
         csr.sort_indices()
         expected = per_colour_jacobian(co, q, base)
@@ -361,7 +354,8 @@ def test_jacobian_evaluates_row_terms_once_per_column_colour(monkeypatch, n_thet
                                                              n_col):
     co = br._coefficients(BEARING, FILM, 33, n_theta)
     q = np.ones((33, n_theta))
-    base = br._residual(co, q)
+    terms = br._row_terms(co, q)
+    base = br._cross_rows(co, terms)
     fields = []
     row_terms = br._row_terms
 
@@ -370,10 +364,10 @@ def test_jacobian_evaluates_row_terms_once_per_column_colour(monkeypatch, n_thet
         return row_terms(co, q)
 
     monkeypatch.setattr(br, "_row_terms", counted)
-    br._jacobian(co, q, base)
+    br._jacobian(co, terms, base)
     assert len(br._jacobian_pattern(31, n_theta)[0]) == 5 * n_col  # colours
-    assert fields[0] == ()  # q itself
-    assert sum(math.prod(shape) for shape in fields[1:]) == n_col  # perturbed copies
+    assert () not in fields  # q's own row terms are passed in
+    assert sum(math.prod(shape) for shape in fields) == n_col  # perturbed copies
 
 
 def count_calls(monkeypatch, name):

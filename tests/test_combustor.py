@@ -30,21 +30,21 @@ def numeric_flame_temperature(phi, t_in):
 
 
 def test_stoichiometric_ratio():
-    f = cb.stoichiometric_fuel_air_ratio()
+    f = gas.fuel_air_mass_ratio(1.0)
     assert f == pytest.approx(0.0292, abs=1e-3)
     # oracle: ~8 kg O2 per kg H2 over the air O2 mass fraction 0.2314
     assert f == pytest.approx(0.2314 / 8.0, abs=1e-3)
 
 
 def test_equivalence_ratio_round_trip():
-    f = cb.stoichiometric_fuel_air_ratio()
-    assert cb.equivalence_ratio(f * 0.2e-3, 0.2e-3) == pytest.approx(1.0, rel=1e-12)
-    assert cb.equivalence_ratio(0.0, 0.2e-3) == 0.0
-    assert cb.equivalence_ratio(2.0 * f * 0.2e-3, 0.2e-3) == pytest.approx(2.0, rel=1e-12)
+    f = gas.fuel_air_mass_ratio(1.0)
+    assert gas.equivalence_ratio(f * 0.2e-3, 0.2e-3) == pytest.approx(1.0, rel=1e-12)
+    assert gas.equivalence_ratio(0.0, 0.2e-3) == 0.0
+    assert gas.equivalence_ratio(2.0 * f * 0.2e-3, 0.2e-3) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_equivalence_ratio_design_point():
-    phi = cb.equivalence_ratio(17.0 / 3600.0 * 1e-3, 0.36e-3)
+    phi = gas.equivalence_ratio(17.0 / 3600.0 * 1e-3, 0.36e-3)
     assert phi == pytest.approx(0.45, abs=0.02)
 
 
@@ -101,6 +101,35 @@ def test_preheat_monotone_in_length():
         expected = 300.0 + (1.0 - math.exp(-ntu)) * 600.0
         assert temps[-1] == pytest.approx(expected, rel=1e-9)
     assert all(b > a for a, b in zip(temps, temps[1:]))
+
+
+def test_thermal_solve_shares_one_recuperator(monkeypatch):
+    """Each wall update evaluates cp twice, the mixture at the film
+    temperature inside _recuperator and the products at the exit
+    temperature, and the converged preheat is recuperator_preheat's."""
+    points = [(GEOM_12, CombustorOperatingPoint(0.10e-3, 0.8)),
+              (GEOM_06, CombustorOperatingPoint(0.15e-3, 0.6)),
+              (GEOM_10, CombustorOperatingPoint(0.05e-3, 0.9, 350.0))]
+    for geom, op in points:
+        _, t_wall, t_pre = cb._solve_thermal(geom, op)
+        assert cb.stability(geom, op).stable
+        assert cb.recuperator_preheat(geom, op, t_wall)[0] == t_pre
+
+    counts = {"cp_mass": 0, "_recuperator": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(gas, "cp_mass")
+    counted(cb, "_recuperator")
+    cb._solve_thermal(*points[0])
+    assert counts["_recuperator"] > 1
+    assert counts["cp_mass"] == 2 * counts["_recuperator"]
 
 
 def test_preheat_requires_wall_at_or_above_inlet():
@@ -161,7 +190,7 @@ def test_stability_fig3_classifications():
 def test_stability_result_identity():
     result = cb.stability(GEOM_12, CombustorOperatingPoint(0.10e-3, 0.8))
     assert result.damkohler == result.residence_time / result.chemical_time
-    assert result.stable == (result.damkohler >= cb.DA_CRITICAL)
+    assert result.stable == (result.damkohler >= cb.DEFAULT_CHEMISTRY.da_critical)
     assert result.exit_temperature >= 300.0
 
 
@@ -188,8 +217,8 @@ def test_stability_monotone_in_height():
 def test_da_critical_invariance():
     op = CombustorOperatingPoint(0.15e-3, 0.6)
     base = cb.stability(GEOM_06, op)
-    scaled = ChemicalTimeModel(prefactor=cb.CHEM_PREFACTOR * 7.0,
-                               da_critical=cb.DA_CRITICAL / 7.0)
+    scaled = ChemicalTimeModel(prefactor=cb.DEFAULT_CHEMISTRY.prefactor * 7.0,
+                               da_critical=cb.DEFAULT_CHEMISTRY.da_critical / 7.0)
     rescaled = cb.stability(GEOM_06, op, scaled)
     assert rescaled.stable == base.stable
     for phi in (0.45, 0.5, 0.55):
@@ -206,28 +235,28 @@ def test_blowout_threshold_in_band():
 
 def test_exit_band_fig6():
     for mdot in (0.05e-3, 0.10e-3, 0.15e-3):
-        result = cb.exit_temperature(GEOM_12, CombustorOperatingPoint(mdot, 0.8))
-        assert result.reacting
+        result = cb.stability(GEOM_12, CombustorOperatingPoint(mdot, 0.8))
+        assert result.stable
         assert 1400.0 <= result.exit_temperature <= 1600.0
 
 
 def test_exit_temperature_adiabatic_when_lossless():
     geom = CombustorGeometry(wall_thermal_conductance=0.0)
     op = CombustorOperatingPoint(0.10e-3, 0.8)
-    result = cb.exit_temperature(geom, op)
+    result = cb.stability(geom, op)
     assert result.exit_temperature == pytest.approx(
         cb.adiabatic_flame_temperature(0.8, 300.0), rel=1e-7)
 
 
 def test_exit_temperature_increases_with_flow():
-    temps = [cb.exit_temperature(GEOM_12, CombustorOperatingPoint(m, 0.8)).exit_temperature
+    temps = [cb.stability(GEOM_12, CombustorOperatingPoint(m, 0.8)).exit_temperature
              for m in (0.05e-3, 0.075e-3, 0.10e-3, 0.125e-3, 0.15e-3)]
     assert all(b > a for a, b in zip(temps, temps[1:]))
 
 
 def test_exit_temperature_unstable_flag():
-    result = cb.exit_temperature(GEOM_12, CombustorOperatingPoint(0.02e-3, 0.8))
-    assert not result.reacting
+    result = cb.stability(GEOM_12, CombustorOperatingPoint(0.02e-3, 0.8))
+    assert not result.stable
     assert result.exit_temperature == 300.0
 
 

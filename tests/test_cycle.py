@@ -38,6 +38,15 @@ def test_combust_no_fuel_is_pressure_drop_only():
     assert dict(out.composition.mole_fractions) == dict(AIR.mole_fractions)
 
 
+def test_combust_without_air():
+    inlet = GasState(AIR, 522.0, 405300.0)
+    with pytest.raises(ValueError, match="fuel >= 0 and air > 0"):
+        cycle.combust(inlet, 0.0, 1e-6, 0.74, 0.92)
+    out = cycle.combust(inlet, 0.0, 0.0, 0.74, 0.92)
+    assert out.temperature == inlet.temperature
+    assert out.pressure == 0.92 * 405300.0
+
+
 def test_combust_constant_cp_closed_form():
     # eta = 1, fuel at inlet temperature: dT = mf LHV / ((ma+mf) cp)
     inlet = GasState(AIR, 500.0, 200000.0)
@@ -98,7 +107,8 @@ def test_expand_rejects_pressure_rise():
 def test_run_cycle_design_point_bracket():
     perf, stations = cycle.run_cycle(CycleDesignPoint())
     assert 30.0 <= perf.net_power <= 55.0
-    assert [s.label for s in stations] == list(cycle.STATION_LABELS)
+    assert [s.label for s in stations] == ["inlet", "compressor-exit",
+                                           "combustor-exit", "turbine-exit"]
 
 
 def test_run_cycle_mass_continuity():

@@ -99,7 +99,7 @@ def test_default_config_comments_render_from_the_kind():
 def test_non_finite_values_are_rejected_for_every_numeric_key():
     text = _with_value(DEFAULT_CONFIG, "bearing", "rpm", math.nan)
     text = _with_value(text, "cycle", "air_mass_flow_kg_s", math.inf)
-    text = _with_value(text, "turbine", "blade_count", -math.inf)
+    text = _with_value(text, "turbine", "rpm_points", -math.inf)
     with pytest.raises(ConfigError) as info:
         validate(text)
     assert len(info.value.errors) == 3
