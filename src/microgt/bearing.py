@@ -122,7 +122,7 @@ class SpiralGrooveBearing:
     def __post_init__(self):
         check(self)
         if not self.outer_radius > self.inner_radius:
-            raise ValueError("radii must satisfy outer > inner")
+            raise ValueError("outer_radius_m must exceed inner_radius_m")
 
 
 @dataclass(frozen=True)
@@ -554,8 +554,6 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
         raise ValueError(
             f"grid must be at least {MIN_RADIAL_NODES} x {MIN_ANGULAR_NODES} nodes"
         )
-    if n_theta % 4 != 0:
-        raise ValueError("n_theta must be a multiple of 4")
     p_amb = film.ambient_pressure
     co = _coefficients(bearing, film, n_r, n_theta)
     du, dv, s, lam, e_cell, s3 = co.du, co.dv, co.s, co.lam, co.e_cell, co.s3
@@ -590,8 +588,11 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
         history.append(res)
         if res < NEWTON_TOLERANCE:
             break
-        step = _newton_step(_jacobian(co, terms, f), -f.ravel(), factor
-                            ).reshape(n_rows, n_theta)
+        try:
+            step = _newton_step(_jacobian(co, terms, f), -f.ravel(), factor
+                                ).reshape(n_rows, n_theta)
+        except RuntimeError as exc:  # SuperLU: the Jacobian is singular
+            raise SolverError(f"{exc} at iteration {iteration}", history) from exc
         norm0 = float(np.linalg.norm(f))
         alpha = 1.0
         for _ in range(40):
@@ -713,9 +714,7 @@ def axial_stiffness(bearing: SpiralGrooveBearing, film: FilmState,
 
 
 def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
-                      total_gap: float, external_load: float, rpm: float,
-                      ambient_pressure: float = 101325.0,
-                      viscosity: float = AIR_VISCOSITY,
+                      total_gap: float, external_load: float, film: FilmState,
                       load_tolerance: float = 1.0e-6,
                       scan_points: int = 48) -> AxialEquilibrium:
     """Clearance split where the top/bottom load difference balances an
@@ -725,7 +724,8 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     own film; net_load = top_load - bottom_load is the force the pair exerts
     pressing the rotor toward the bottom face, and equilibrium makes it
     equal the externally applied load (positive pressing the rotor up
-    against the pair, e.g. drive-gas lift of magnitude rotor weight).
+    against the pair, e.g. drive-gas lift of magnitude rotor weight).  Both
+    faces run film with its clearance replaced by their own.
 
     Scans c_top for a sign change of the imbalance, then bisects to
     |net_load - external_load| <= load_tolerance.  Every film is solved on
@@ -737,10 +737,10 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     factor_top, factor_bot = JacobianFactor(), JacobianFactor()
 
     def net(c_top):
-        film_top = FilmState(c_top, rpm, ambient_pressure, viscosity)
-        film_bot = FilmState(total_gap - c_top, rpm, ambient_pressure, viscosity)
-        w_top = solve_load(top, film_top, *EQUILIBRIUM_GRID, factor_top)
-        w_bot = solve_load(bottom, film_bot, *EQUILIBRIUM_GRID, factor_bot)
+        w_top = solve_load(top, replace(film, nominal_clearance=c_top),
+                           *EQUILIBRIUM_GRID, factor_top)
+        w_bot = solve_load(bottom, replace(film, nominal_clearance=total_gap - c_top),
+                           *EQUILIBRIUM_GRID, factor_bot)
         return w_top - w_bot, w_top, w_bot
 
     lo_frac, hi_frac = 0.02, 0.98

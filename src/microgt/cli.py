@@ -61,6 +61,16 @@ def _invalid(exc: ValueError) -> int:
     return 1
 
 
+def _failed(exc: Exception) -> int:
+    """Report a run failure, with its residual history if any, and return exit 2."""
+    print(f"error: {exc}", file=sys.stderr)
+    history = getattr(exc, "residual_history", None)
+    if history:
+        print("residual history: " + " ".join("%.3e" % r for r in history),
+              file=sys.stderr)
+    return 2
+
+
 def _parse_sweep(spec: str):
     """--sweep key=start:stop:n -> (key, [values])."""
     key, _, rng = spec.partition("=")
@@ -257,8 +267,7 @@ def run_bearing(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
         f"{film.nominal_clearance * 1e6:.1f} um clearance")
     try:
         equilibrium = br.axial_equilibrium(
-            top, bottom, b["total_axial_gap_m"], config.external_axial_load,
-            b["rpm"], b["ambient_pressure_pa"], b["viscosity_pa_s"])
+            top, bottom, b["total_axial_gap_m"], config.external_axial_load, film)
     except br.NoEquilibriumError as exc:
         bundle.summary.append(f"bearing: axial equilibrium clearances not found ({exc})")
         return None
@@ -290,14 +299,9 @@ def run(subcommand: str, config: ScenarioConfig, out_dir: Path, sweep=None) -> i
             run_bearing(config, bundle, sweep)
     except ConfigError as exc:
         return _invalid(exc)
-    except (br.SolverError, br.NoEquilibriumError, ConvergenceError,
-            ValueError) as exc:  # gas.RichMixtureError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        history = getattr(exc, "residual_history", None)
-        if history:
-            print("residual history: " + " ".join("%.3e" % r for r in history),
-                  file=sys.stderr)
-        return 2
+    except (br.SolverError, br.NoEquilibriumError, ConvergenceError, ValueError,
+            ArithmeticError) as exc:  # gas.RichMixtureError is a ValueError
+        return _failed(exc)
 
     if subcommand == "all":
         design = config.cycle_design
@@ -369,6 +373,8 @@ def main(argv=None) -> int:
         sweep = _parse_sweep(args.sweep) if args.sweep else None
     except ValueError as exc:  # ConfigError included
         return _invalid(exc)
+    except ArithmeticError as exc:  # e.g. a rotor weight beyond float range
+        return _failed(exc)
     if args.command == "validate":
         print("ok")
         return 0

@@ -64,7 +64,7 @@ class CombustorGeometry:
     def __post_init__(self):
         check(self)
         if not self.annulus_outer_radius > self.annulus_inner_radius:
-            raise ValueError("annulus radii must satisfy outer > inner")
+            raise ValueError("annulus_outer_radius_m must exceed annulus_inner_radius_m")
 
     @property
     def chamber_volume(self) -> float:

@@ -31,8 +31,8 @@ SECTIONS = {
         ConstantCpGas,
     ),
     "ambient": (
-        Param("temperature_k", 300.0, "(0, inf)"),
-        Param("pressure_pa", 101325.0, "(0, inf)"),
+        Param("temperature_k", cyc.CycleDesignPoint.ambient.temperature, "(0, inf)"),
+        Param("pressure_pa", cyc.CycleDesignPoint.ambient.pressure, "(0, inf)"),
     ),
     "cycle": (
         cyc.CycleDesignPoint,
@@ -101,13 +101,8 @@ class ConfigError(ValueError):
 
 
 def _cross_field_errors(values) -> list:
-    """Violations that involve more than one key, or more than a range."""
+    """Violations of the rules that span records; each record checks its own."""
     errors = []
-    bearing = values["bearing"]
-    if bearing["outer_radius_m"] <= bearing["inner_radius_m"]:
-        errors.append("[bearing] outer_radius_m must exceed inner_radius_m")
-    if bearing["grid_angular_nodes"] % 4 != 0:
-        errors.append("[bearing] grid_angular_nodes must be a multiple of 4")
     # mirrors run_cycle: the turbine expands (p_a * pressure_ratio) *
     # sigma_combustor back to p_a, which cycle.expand rejects when it is less
     p_amb = values["ambient"]["pressure_pa"]
@@ -115,12 +110,7 @@ def _cross_field_errors(values) -> list:
     if p_amb * cycle["pressure_ratio"] * cycle["sigma_combustor"] < p_amb:
         errors.append("[cycle] pressure_ratio * sigma_combustor must be >= 1: "
                       "the combustor exit would sit below ambient pressure")
-    comb = values["combustor"]
-    if comb["annulus_outer_radius_m"] <= comb["annulus_inner_radius_m"]:
-        errors.append("[combustor] annulus_outer_radius_m must exceed annulus_inner_radius_m")
     turb = values["turbine"]
-    if turb["outer_diameter_m"] <= turb["inner_diameter_m"]:
-        errors.append("[turbine] outer_diameter_m must exceed inner_diameter_m")
     if turb["rpm_max"] < turb["rpm_min"]:
         errors.append("[turbine] rpm_max must be >= rpm_min")
     return errors
@@ -128,78 +118,77 @@ def _cross_field_errors(values) -> list:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Typed view of a parsed configuration."""
+    """Typed view of a parsed configuration: its values and the records
+    built from them once, by _scenario."""
 
     raw: dict  # section -> key -> parsed value
     config_hash: str
+    property_model: object  # POLYNOMIAL, or a ConstantCpGas
+    cycle_design: cyc.CycleDesignPoint
+    combustor_geometry: cb.CombustorGeometry
+    combustor_operating_point: cb.CombustorOperatingPoint
+    chemistry: cb.ChemicalTimeModel
+    rotor_geometry: turbo.RotorGeometry
+    stator_geometry: turbo.StatorGeometry
+    film_state: br.FilmState
+    faces: dict  # "top" / "bottom" -> SpiralGrooveBearing
+    external_axial_load: float  # N
 
-    def build(self, cls, section: str, **extra):
-        """cls made from the section's values of its param() fields."""
-        values = self.raw[section]
-        return cls(**{name: values[p.key] for name, p in declared(cls) if p.key},
-                   **extra)
+    def bearing_face(self, which: str) -> br.SpiralGrooveBearing:
+        return self.faces[which]
 
     def with_value(self, section: str, key: str, value) -> ScenarioConfig:
         """A copy with one value replaced; ConfigError names the key if the
         value is out of bounds."""
         problem = _SCHEMA[section][key].problem(value)
-        raw = {**self.raw, section: {**self.raw[section], key: value}}
-        errors = ([f"[{section}] {key} = {value}: {problem}"] if problem
-                  else _cross_field_errors(raw))
-        if errors:
-            raise ConfigError(errors)
-        return ScenarioConfig(raw=raw, config_hash=self.config_hash)
+        if problem:
+            raise ConfigError([f"[{section}] {key} = {value}: {problem}"])
+        return _scenario({**self.raw, section: {**self.raw[section], key: value}},
+                         self.config_hash)
 
-    @property
-    def property_model(self):
-        if self.raw["properties"]["mode"] == "constant_cp":
-            return self.build(ConstantCpGas, "properties")
-        return POLYNOMIAL
 
-    @property
-    def ambient_state(self) -> GasState:
-        a = self.raw["ambient"]
-        return GasState(AIR, a["temperature_k"], a["pressure_pa"])
+def _scenario(values, config_hash: str) -> ScenarioConfig:
+    """The ScenarioConfig of in-bounds values, each record built once.
 
-    @property
-    def cycle_design(self) -> cyc.CycleDesignPoint:
-        return self.build(cyc.CycleDesignPoint, "cycle", ambient=self.ambient_state)
+    ConfigError lists each record's ValueError once, as a violation of its
+    section, followed by the violations of the rules that span records.
+    """
+    errors = []
 
-    @property
-    def combustor_geometry(self) -> cb.CombustorGeometry:
-        return self.build(cb.CombustorGeometry, "combustor")
+    def build(cls, section: str, **extra):
+        """cls made from the section's values of its param() fields."""
+        try:
+            return cls(**{name: values[section][p.key] for name, p in declared(cls) if p.key},
+                       **extra)
+        except ValueError as exc:
+            if f"[{section}] {exc}" not in errors:  # both faces share their keys
+                errors.append(f"[{section}] {exc}")
+            return None
 
-    @property
-    def combustor_operating_point(self) -> cb.CombustorOperatingPoint:
-        return self.build(cb.CombustorOperatingPoint, "combustor")
-
-    @property
-    def chemistry(self) -> cb.ChemicalTimeModel:
-        return self.build(cb.ChemicalTimeModel, "calibration")
-
-    @property
-    def rotor_geometry(self) -> turbo.RotorGeometry:
-        return self.build(turbo.RotorGeometry, "turbine")
-
-    @property
-    def stator_geometry(self) -> turbo.StatorGeometry:
-        return self.build(turbo.StatorGeometry, "turbine")
-
-    def bearing_face(self, which: str) -> br.SpiralGrooveBearing:
-        return self.build(br.SpiralGrooveBearing, "bearing",
-                          groove_depth=self.raw["bearing"][f"{which}_groove_depth_m"],
-                          pump_direction="pump-in" if which == "top" else "pump-out")
-
-    @property
-    def film_state(self) -> br.FilmState:
-        return self.build(br.FilmState, "bearing")
-
-    @property
-    def external_axial_load(self) -> float:
-        value = self.raw["bearing"]["external_axial_load_n"]
-        if value == "auto":
-            return self.rotor_geometry.rotor_mass * turbo.GRAVITY
-        return value
+    a, b = values["ambient"], values["bearing"]
+    records = dict(
+        property_model=(build(ConstantCpGas, "properties")
+                        if values["properties"]["mode"] == "constant_cp" else POLYNOMIAL),
+        cycle_design=build(cyc.CycleDesignPoint, "cycle",
+                           ambient=GasState(AIR, a["temperature_k"], a["pressure_pa"])),
+        combustor_geometry=build(cb.CombustorGeometry, "combustor"),
+        combustor_operating_point=build(cb.CombustorOperatingPoint, "combustor"),
+        chemistry=build(cb.ChemicalTimeModel, "calibration"),
+        rotor_geometry=build(turbo.RotorGeometry, "turbine"),
+        stator_geometry=build(turbo.StatorGeometry, "turbine"),
+        film_state=build(br.FilmState, "bearing"),
+        faces={which: build(br.SpiralGrooveBearing, "bearing",
+                            groove_depth=b[f"{which}_groove_depth_m"], pump_direction=pump)
+               for which, pump in (("top", "pump-in"), ("bottom", "pump-out"))},
+    )
+    errors += _cross_field_errors(values)
+    if errors:
+        raise ConfigError(errors)
+    load = b["external_axial_load_n"]
+    if load == "auto":
+        load = records["rotor_geometry"].rotor_mass * turbo.GRAVITY
+    return ScenarioConfig(raw=values, config_hash=config_hash,
+                          external_axial_load=load, **records)
 
 
 def validate(config_text: str):
@@ -241,12 +230,9 @@ def validate(config_text: str):
             if key not in values[section]:
                 errors.append(f"missing key '{key}' in section [{section}]")
 
-    if not errors:
-        errors = _cross_field_errors(values)
     if errors:
         raise ConfigError(errors)
-    digest = hashlib.sha256(config_text.encode("utf-8")).hexdigest()[:16]
-    return ScenarioConfig(raw=values, config_hash=digest)
+    return _scenario(values, hashlib.sha256(config_text.encode("utf-8")).hexdigest()[:16])
 
 
 def default_config() -> ScenarioConfig:

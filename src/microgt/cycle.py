@@ -111,7 +111,7 @@ def expand(inlet: GasState, exit_pressure: float, eta_turbine: float,
 
 def combust(inlet: GasState, air_mass_flow: float, fuel_mass_flow: float,
             eta_combustor: float, sigma_combustor: float,
-            fuel_lhv: float = 120.0e6, fuel_temperature: float | None = None,
+            fuel_lhv: float, fuel_temperature: float | None = None,
             props=POLYNOMIAL):
     """Constant-pressure (times sigma) heat addition by complete H2 combustion.
 
@@ -188,7 +188,7 @@ def run_cycle(design: CycleDesignPoint, props=POLYNOMIAL):
     return performance, stations
 
 
-def fit_eta_mechanical(design: CycleDesignPoint, target_net_power: float = 39.0) -> float:
+def fit_eta_mechanical(design: CycleDesignPoint, target_net_power: float) -> float:
     """Mechanical-loss fraction that makes the cycle hit target_net_power.
 
     Net power is linear in eta_mechanical, so the fit is closed-form:

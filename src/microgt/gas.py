@@ -48,8 +48,9 @@ class RichMixtureError(ValueError):
 class SpeciesThermo:
     """Polynomial cp fit and formation data for one species.
 
-    cp_coeffs holds one (t_min, t_max, (a1..a5)) tuple per validity range,
-    with cp/R = a1 + a2*T + a3*T^2 + a4*T^3 + a5*T^4 on each range.
+    cp_coeffs holds a (t_min, t_max, (a1..a5)) tuple for each of the two
+    validity ranges, low then high, meeting at a joint that takes the low
+    fit; cp/R = a1 + a2*T + a3*T^2 + a4*T^3 + a5*T^4 on each range.
     h_formation is the standard enthalpy of formation at 298.15 K in J/mol.
     """
 
@@ -60,22 +61,11 @@ class SpeciesThermo:
     _h_offsets: tuple[float, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        # Integration constants making the sensible enthalpy continuous
-        # across range joints and zero at T_REFERENCE.
-        offsets = []
-        running = 0.0
-        for idx, (t_min, t_max, coeffs) in enumerate(self.cp_coeffs):
-            if idx == 0:
-                offsets.append(0.0)
-            else:
-                prev = self.cp_coeffs[idx - 1]
-                joint = prev[1]
-                running = offsets[idx - 1] + self._cp_integral(prev[2], joint) - self._cp_integral(coeffs, joint)
-                offsets.append(running)
-        # Shift all offsets so h_sensible(T_REFERENCE) = 0.
-        ref_idx = self._range_index(T_REFERENCE)
-        ref_val = self._cp_integral(self.cp_coeffs[ref_idx][2], T_REFERENCE) + offsets[ref_idx]
-        offsets = tuple(o - ref_val for o in offsets)
+        # Integration constants making the sensible enthalpy zero at
+        # T_REFERENCE, in the low range, and continuous across the joint.
+        (_, joint, low), (_, _, high) = self.cp_coeffs
+        ref = self._cp_integral(low, T_REFERENCE)
+        offsets = (-ref, self._cp_integral(low, joint) - self._cp_integral(high, joint) - ref)
         object.__setattr__(self, "_h_offsets", offsets)
 
     @staticmethod
@@ -85,11 +75,9 @@ class SpeciesThermo:
         return t * (a1 + t * (a2 / 2 + t * (a3 / 3 + t * (a4 / 4 + t * a5 / 5))))
 
     def _range_index(self, t: float) -> int:
-        for idx, (t_min, t_max, _) in enumerate(self.cp_coeffs):
-            if t_min <= t <= t_max:
-                return idx
-        lo = self.cp_coeffs[0][0]
-        hi = self.cp_coeffs[-1][1]
+        (lo, joint, _), (_, hi, _) = self.cp_coeffs
+        if lo <= t <= hi:  # False for nan
+            return 0 if t <= joint else 1
         raise TemperatureRangeError(
             f"T = {t:.2f} K outside the [{lo:.0f}, {hi:.0f}] K validity range of species '{self.name}'"
         )

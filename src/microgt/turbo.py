@@ -35,7 +35,7 @@ class RotorGeometry:
     def __post_init__(self):
         check(self)
         if not self.outer_diameter > self.inner_diameter:
-            raise ValueError("diameters must satisfy outer > inner")
+            raise ValueError("outer_diameter_m must exceed inner_diameter_m")
 
     @property
     def tip_radius(self) -> float:

@@ -132,8 +132,7 @@ def test_axial_stiffness_zero_for_ungrooved():
 
 def test_equilibrium_symmetric_pair_splits_evenly():
     gap = 12.0e-6
-    eq = br.axial_equilibrium(BEARING, BEARING, gap, 0.0, 15000.0,
-                              scan_points=17)
+    eq = br.axial_equilibrium(BEARING, BEARING, gap, 0.0, FILM, scan_points=17)
     assert eq.converged
     assert eq.top_clearance == pytest.approx(gap / 2.0, abs=1e-9)
     assert eq.bottom_clearance == pytest.approx(gap / 2.0, abs=1e-9)
@@ -142,8 +141,8 @@ def test_equilibrium_symmetric_pair_splits_evenly():
 def test_equilibrium_shifts_against_added_load():
     top = SpiralGrooveBearing(groove_depth=15.0e-6)
     bottom = SpiralGrooveBearing(groove_depth=36.0e-6, pump_direction="pump-out")
-    eq_0 = br.axial_equilibrium(top, bottom, 40.0e-6, 4.0e-4, 15000.0)
-    eq_1 = br.axial_equilibrium(top, bottom, 40.0e-6, 6.0e-4, 15000.0)
+    eq_0 = br.axial_equilibrium(top, bottom, 40.0e-6, 4.0e-4, FILM)
+    eq_1 = br.axial_equilibrium(top, bottom, 40.0e-6, 6.0e-4, FILM)
     # a larger load pressing the rotor up must pull the top clearance down,
     # raising the opposing (top) film load
     assert eq_1.top_clearance < eq_0.top_clearance
@@ -154,8 +153,7 @@ def test_equilibrium_reports_missing_root():
     top = SpiralGrooveBearing(groove_depth=15.0e-6)
     bottom = SpiralGrooveBearing(groove_depth=36.0e-6, pump_direction="pump-out")
     with pytest.raises(br.NoEquilibriumError):
-        br.axial_equilibrium(top, bottom, 40.0e-6, 1.0e6, 15000.0,
-                             scan_points=9)
+        br.axial_equilibrium(top, bottom, 40.0e-6, 1.0e6, FILM, scan_points=9)
 
 
 def test_solver_rejects_coarse_grids():
@@ -323,7 +321,8 @@ def per_colour_jacobian(co, q, base):
 
 
 @pytest.mark.parametrize("pump", ["pump-in", "pump-out"])
-@pytest.mark.parametrize("n_r, n_theta", [(33, 64), (33, 80), (65, 96), (129, 192)])
+@pytest.mark.parametrize("n_r, n_theta", [(33, 64), (33, 66), (33, 80), (65, 96),
+                                         (129, 192)])
 def test_jacobian_matches_one_residual_call_per_colour(n_r, n_theta, pump):
     """The row-local half of the residual, evaluated once per column colour,
     leaves every Jacobian value bit-identical, at q = 1 and after one Newton
@@ -450,7 +449,7 @@ def test_default_equilibrium_keeps_clearance_and_loads():
     b = config.raw["bearing"]
     eq = br.axial_equilibrium(config.bearing_face("top"), config.bearing_face("bottom"),
                               b["total_axial_gap_m"], config.external_axial_load,
-                              b["rpm"], b["ambient_pressure_pa"], b["viscosity_pa_s"])
+                              config.film_state)
     assert eq.converged
     assert eq.top_clearance == 8.145561835106383e-06
     assert eq.top_load == pytest.approx(5.570371834180439e-04, rel=1e-12, abs=0.0)

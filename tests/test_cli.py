@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -49,6 +50,38 @@ def test_validate_reports_parse_error_with_line_number():
     with pytest.raises(ConfigError) as info:
         validate("\n".join(lines))
     assert any("line 8" in e for e in info.value.errors)
+
+
+def _with(key, value):
+    """DEFAULT_CONFIG with the line of key, in whichever section, set to value."""
+    text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", DEFAULT_CONFIG, flags=re.M)
+    assert count == 1
+    return text
+
+
+@pytest.mark.parametrize("section, key, value, other", [
+    ("bearing", "outer_radius_m", 1.0e-3, "inner_radius_m"),
+    ("combustor", "annulus_outer_radius_m", 5.0e-3, "annulus_inner_radius_m"),
+    ("turbine", "outer_diameter_m", 4.4e-3, "inner_diameter_m"),
+])
+def test_order_rule_is_one_violation_naming_both_keys(tmp_path, capsys, section, key,
+                                                      value, other):
+    # each value equals the other key's default, so the order is violated
+    cfg = tmp_path / "cfg"
+    cfg.write_text(_with(key, value))
+    assert cli.main(["validate", str(cfg)]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1
+    assert all(name in errors[0] for name in (f"[{section}]", key, other))
+    with pytest.raises(ConfigError) as info:
+        default_config().with_value(section, key, value)
+    assert info.value.errors == [errors[0].removeprefix("invalid: ")]
+
+
+def test_validate_accepts_angular_nodes_off_multiples_of_four(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(_with("grid_angular_nodes", 98))
+    assert cli.main(["validate", str(cfg)]) == 0
 
 
 def test_cli_validate_exit_codes(tmp_path):
@@ -235,6 +268,28 @@ def test_run_rejects_out_of_bound_sweep_value(tmp_path, capsys, subcommand, swee
     out = tmp_path / "out"
     assert cli.main(["run", subcommand, "--out", str(out), "--sweep", sweep]) == 1
     assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+# in-bounds values whose arithmetic fails: an exponential overflow, three
+# divisions by an underflowed zero, a singular Reynolds Jacobian, and a
+# rotor weight beyond float range, met already at validation; numpy warns
+# of the overflows on the way
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("key, value", [
+    ("chem_activation_j_per_mol", "1e9"),
+    ("chem_phi_exponent", "1e300"),
+    ("blade_height_m", "1e-320"),
+    ("nominal_clearance_m", "1e-300"),
+    ("top_groove_depth_m", "1e300"),
+    ("outer_diameter_m", "1e200"),
+])
+def test_run_reports_arithmetic_failure_with_exit_2(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(_with(key, value))
+    out = tmp_path / "out"
+    assert cli.main(["run", "all", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
 

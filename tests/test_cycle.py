@@ -8,6 +8,7 @@ from microgt.gas import AIR, ConstantCpGas, GasState
 
 TEXTBOOK = ConstantCpGas(1005.0, 1.4)
 AMBIENT = GasState(AIR, 300.0, 101325.0)
+LHV = CycleDesignPoint().fuel_lhv
 
 
 def test_compress_identity_at_unit_ratio():
@@ -32,7 +33,7 @@ def test_compress_rejects_bad_eta():
 
 def test_combust_no_fuel_is_pressure_drop_only():
     inlet = GasState(AIR, 522.0, 405300.0)
-    out = cycle.combust(inlet, 0.36e-3, 0.0, 0.74, 0.92)
+    out = cycle.combust(inlet, 0.36e-3, 0.0, 0.74, 0.92, LHV)
     assert out.temperature == inlet.temperature
     assert out.pressure == pytest.approx(0.92 * 405300.0)
     assert dict(out.composition.mole_fractions) == dict(AIR.mole_fractions)
@@ -41,8 +42,8 @@ def test_combust_no_fuel_is_pressure_drop_only():
 def test_combust_without_air():
     inlet = GasState(AIR, 522.0, 405300.0)
     with pytest.raises(ValueError, match="fuel >= 0 and air > 0"):
-        cycle.combust(inlet, 0.0, 1e-6, 0.74, 0.92)
-    out = cycle.combust(inlet, 0.0, 0.0, 0.74, 0.92)
+        cycle.combust(inlet, 0.0, 1e-6, 0.74, 0.92, LHV)
+    out = cycle.combust(inlet, 0.0, 0.0, 0.74, 0.92, LHV)
     assert out.temperature == inlet.temperature
     assert out.pressure == 0.92 * 405300.0
 
@@ -61,7 +62,7 @@ def test_combust_design_point_regression():
     # frozen from the independent single-equation enthalpy balance solved
     # with numerically integrated polynomial cp (trapezoid + brentq)
     inlet = GasState(AIR, 522.46, 405300.0)
-    out = cycle.combust(inlet, 0.36e-3, 17.0 / 3600.0 * 1e-3, 0.74, 0.92,
+    out = cycle.combust(inlet, 0.36e-3, 17.0 / 3600.0 * 1e-3, 0.74, 0.92, LHV,
                         fuel_temperature=300.0)
     assert out.temperature == pytest.approx(1409.7236, abs=0.05)
     assert 1350.0 <= out.temperature <= 1650.0
@@ -70,7 +71,7 @@ def test_combust_design_point_regression():
 def test_combust_rejects_rich():
     inlet = GasState(AIR, 500.0, 200000.0)
     with pytest.raises(gas.RichMixtureError):
-        cycle.combust(inlet, 1.0e-4, 1.0e-5, 0.74, 0.92)
+        cycle.combust(inlet, 1.0e-4, 1.0e-5, 0.74, 0.92, LHV)
 
 
 def test_expand_identity_at_equal_pressure():
