@@ -1,32 +1,1 @@
 """microgt: reduced-order analysis toolkit for silicon micro gas turbine engines."""
-
-from .gas import (AIR, ConstantCpGas, GasComposition, GasState,
-                  PolynomialGas, burned_composition, cp_mass, enthalpy_mass,
-                  gamma)
-from .cycle import CycleDesignPoint, CyclePerformance, StationState, run_cycle
-from .combustor import (ChemicalTimeModel, CombustorGeometry,
-                        CombustorOperatingPoint, StabilityResult,
-                        adiabatic_flame_temperature, stability)
-from .turbo import (RotorGeometry, StatorGeometry, VelocityTriangle,
-                    blade_speed, euler_specific_work, imbalance_load,
-                    velocity_triangle)
-from .bearing import (AxialEquilibrium, FilmState, PressureField,
-                      SpiralGrooveBearing, axial_equilibrium, load_capacity,
-                      narrow_groove_reference, solve_reynolds)
-from .config import ScenarioConfig, default_config, validate
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AIR", "AxialEquilibrium", "ChemicalTimeModel", "CombustorGeometry",
-    "CombustorOperatingPoint", "ConstantCpGas", "CycleDesignPoint",
-    "CyclePerformance", "FilmState", "GasComposition", "GasState",
-    "PolynomialGas", "PressureField", "RotorGeometry", "ScenarioConfig",
-    "SpiralGrooveBearing", "StabilityResult", "StationState",
-    "StatorGeometry", "VelocityTriangle", "adiabatic_flame_temperature",
-    "axial_equilibrium", "blade_speed", "burned_composition", "cp_mass",
-    "default_config", "enthalpy_mass", "euler_specific_work", "gamma",
-    "imbalance_load", "load_capacity", "narrow_groove_reference",
-    "run_cycle", "stability", "solve_reynolds", "validate",
-    "velocity_triangle",
-]

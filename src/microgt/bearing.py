@@ -63,7 +63,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .gas import AIR_VISCOSITY
-from .params import check, param
+from .params import SolverError, check, param
 
 MIN_RADIAL_NODES = 33  # 32 radial intervals
 MIN_ANGULAR_NODES = 64
@@ -88,15 +88,7 @@ REFINE_CONTRACTION = 0.1
 REFINE_MAX_SWEEPS = 12
 
 
-class SolverError(RuntimeError):
-    """Newton iteration failed; carries the residual history."""
-
-    def __init__(self, message, residual_history=None):
-        super().__init__(message)
-        self.residual_history = residual_history or []
-
-
-class NoEquilibriumError(RuntimeError):
+class NoEquilibriumError(SolverError):
     """Axial balance has no root in the clearance interval."""
 
 

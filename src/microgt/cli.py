@@ -8,6 +8,7 @@ config are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -17,9 +18,7 @@ from . import combustor as cb
 from . import cycle as cyc
 from . import gas, turbo
 from .config import ConfigError, DEFAULT_CONFIG, ScenarioConfig, validate
-from .params import ConvergenceError
-
-SUBCOMMANDS = ("cycle", "combustor", "turbine", "bearing", "all")
+from .params import SolverError
 
 # Keys each subcommand can sweep, from its own config section; the swept
 # key becomes the first column of the sweep table.
@@ -42,6 +41,8 @@ class ReportBundle:
 
 
 def _fmt(value) -> str:
+    if value is None:  # a quantity the point does not define
+        return ""
     if isinstance(value, float):
         return "%.9g" % value
     return str(value)
@@ -61,9 +62,10 @@ def _invalid(exc: ValueError) -> int:
     return 1
 
 
-def _failed(exc: Exception) -> int:
-    """Report a run failure, with its residual history if any, and return exit 2."""
-    print(f"error: {exc}", file=sys.stderr)
+def _failed(stage: str, exc: Exception) -> int:
+    """Report the failure of a stage, with its residual history if any, and
+    return exit 2."""
+    print(f"error: {stage}: {exc}", file=sys.stderr)
     history = getattr(exc, "residual_history", None)
     if history:
         print("residual history: " + " ".join("%.3e" % r for r in history),
@@ -280,28 +282,32 @@ def run_bearing(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
     return equilibrium
 
 
+# Stage name -> runner, in the order `run all` runs them.
+STAGES = {"cycle": run_cycle, "combustor": run_combustor,
+          "turbine": run_turbine, "bearing": run_bearing}
+
+
 def run(subcommand: str, config: ScenarioConfig, out_dir: Path, sweep=None) -> int:
-    """Execute one subcommand; writes files only after every solve succeeded."""
+    """Execute one subcommand; writes files only after every solve succeeded
+    and every table it made is finite."""
     if sweep and subcommand == "all":
-        print(f"error: --sweep needs a single subcommand: {', '.join(SWEEP_KEYS)}",
+        print(f"error: --sweep needs a single subcommand: {', '.join(STAGES)}",
               file=sys.stderr)
         return 2
     bundle = ReportBundle(config_hash=config.config_hash, tables={}, summary=[],
                           warnings=[])
-    try:
-        if subcommand in ("cycle", "all"):
-            run_cycle(config, bundle, sweep)
-        if subcommand in ("combustor", "all"):
-            run_combustor(config, bundle, sweep)
-        if subcommand in ("turbine", "all"):
-            run_turbine(config, bundle, sweep)
-        if subcommand in ("bearing", "all"):
-            run_bearing(config, bundle, sweep)
-    except ConfigError as exc:
-        return _invalid(exc)
-    except (br.SolverError, br.NoEquilibriumError, ConvergenceError, ValueError,
-            ArithmeticError) as exc:  # gas.RichMixtureError is a ValueError
-        return _failed(exc)
+    for stage in STAGES if subcommand == "all" else [subcommand]:
+        made = len(bundle.tables)
+        try:
+            STAGES[stage](config, bundle, sweep)
+            for name, (header, rows) in list(bundle.tables.items())[made:]:
+                for column, values in zip(header, zip(*rows)):
+                    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+                        raise ArithmeticError(f"{name}: {column} not finite")
+        except ConfigError as exc:
+            return _invalid(exc)
+        except (SolverError, ValueError, ArithmeticError) as exc:
+            return _failed(stage, exc)  # gas.RichMixtureError is a ValueError
 
     if subcommand == "all":
         design = config.cycle_design
@@ -348,7 +354,7 @@ def main(argv=None) -> int:
     p_val.set_defaults(sweep=None)
 
     p_run = sub.add_parser("run", help="run an analysis module")
-    p_run.add_argument("subcommand", choices=SUBCOMMANDS)
+    p_run.add_argument("subcommand", choices=[*STAGES, "all"])
     p_run.add_argument("--config", type=Path, default=None,
                        help="scenario config path (defaults to the shipped defaults)")
     p_run.add_argument("--out", type=Path, required=True)
@@ -374,7 +380,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError included
         return _invalid(exc)
     except ArithmeticError as exc:  # e.g. a rotor weight beyond float range
-        return _failed(exc)
+        return _failed("config", exc)
     if args.command == "validate":
         print("ok")
         return 0

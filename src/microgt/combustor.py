@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from . import gas
-from .params import ConvergenceError, bracketed_root, check, param
+from .params import SolverError, bracketed_root, check, param
 
 # Transport surrogate: power-law viscosity with constant Prandtl number.
 PRANDTL = 0.70
@@ -115,7 +115,7 @@ DEFAULT_CHEMISTRY = ChemicalTimeModel()
 @dataclass(frozen=True)
 class StabilityResult:
     residence_time: float  # s
-    chemical_time: float  # s
+    chemical_time: float | None  # s; None for a fuel-free stream
     damkohler: float
     stable: bool
     exit_temperature: float  # K
@@ -242,7 +242,7 @@ def _solve_thermal(geometry: CombustorGeometry, op: CombustorOperatingPoint,
             break
         t_w = 0.5 * (t_w + t_w_new)
     else:
-        raise ConvergenceError(
+        raise SolverError(
             f"wall balance did not converge (last wall update {t_w_new - t_w:.3e} K)"
         )
     _, t_e, eps = wall_update(t_w)
@@ -259,13 +259,13 @@ def stability(geometry: CombustorGeometry, op: CombustorOperatingPoint,
     flame temperature, and the residence and chemical times; the point is
     stable when Da = residence/chemical >= da_critical.  Unstable points
     report the non-reacting mixed temperature (inlet mixture temperature)
-    and an ambient wall.
+    and an ambient wall; a fuel-free point has no chemical time and Da = 0.
     """
     phi = op.equivalence_ratio
     if phi == 0.0:
         return StabilityResult(
             residence_time=residence_time(geometry, op, op.inlet_temperature),
-            chemical_time=math.inf, damkohler=0.0, stable=False,
+            chemical_time=None, damkohler=0.0, stable=False,
             exit_temperature=op.inlet_temperature, wall_temperature=ambient_temperature,
         )
     t_exit, t_wall, t_pre = _solve_thermal(geometry, op, ambient_temperature)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from . import combustor as cb
 from . import cycle as cyc
 from . import bearing as br
-from . import turbo
-from .gas import AIR, ConstantCpGas, GasState, POLYNOMIAL
+from . import gas, turbo
+from .gas import AIR, ConstantCpGas, GasState
 from .params import Param, declared
 
 # Section -> its keys in file order: a dataclass stands for its param()
@@ -123,7 +123,7 @@ class ScenarioConfig:
 
     raw: dict  # section -> key -> parsed value
     config_hash: str
-    property_model: object  # POLYNOMIAL, or a ConstantCpGas
+    property_model: object  # the gas module, or a ConstantCpGas
     cycle_design: cyc.CycleDesignPoint
     combustor_geometry: cb.CombustorGeometry
     combustor_operating_point: cb.CombustorOperatingPoint
@@ -168,7 +168,7 @@ def _scenario(values, config_hash: str) -> ScenarioConfig:
     a, b = values["ambient"], values["bearing"]
     records = dict(
         property_model=(build(ConstantCpGas, "properties")
-                        if values["properties"]["mode"] == "constant_cp" else POLYNOMIAL),
+                        if values["properties"]["mode"] == "constant_cp" else gas),
         cycle_design=build(cyc.CycleDesignPoint, "cycle",
                            ambient=GasState(AIR, a["temperature_k"], a["pressure_pa"])),
         combustor_geometry=build(cb.CombustorGeometry, "combustor"),
@@ -196,6 +196,7 @@ def validate(config_text: str):
     carrying the complete list of violations."""
     errors = []
     values = {section: {} for section in _SCHEMA}
+    first_line = {}  # (section, key) -> line number of its first setting
     section = None
     for lineno, raw_line in enumerate(config_text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -218,6 +219,11 @@ def validate(config_text: str):
         text = text.strip()
         if key not in _SCHEMA[section]:
             errors.append(f"line {lineno}: unknown key '{key}' in section [{section}]")
+            continue
+        first = first_line.setdefault((section, key), lineno)
+        if first != lineno:
+            errors.append(f"line {lineno}: duplicate key '{key}' in section "
+                          f"[{section}] (first on line {first})")
             continue
         try:
             values[section][key] = _SCHEMA[section][key].parse(text)

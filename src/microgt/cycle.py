@@ -3,16 +3,15 @@
 Chains compression, constant-pressure heat addition and expansion back to
 ambient, with adiabatic component efficiencies, a combustor efficiency and
 pressure-recovery coefficient, and an optional mechanical-loss knob on the
-turbine shaft.  Works with either property model from microgt.gas.
+turbine shaft.  Works with either property model of microgt.gas.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from . import gas
-from .gas import AIR, GasState, POLYNOMIAL
+from .gas import AIR, GasState
 from .params import bracketed_root, check, param
 
 
@@ -50,7 +49,7 @@ class CyclePerformance:
     turbine_power: float  # W
     turbine_inlet_temperature: float  # K
     thermal_efficiency: float
-    specific_fuel_consumption: float  # kg/J
+    specific_fuel_consumption: float | None  # kg/J; None without net power
 
 
 def _isentropic_temperature(t_in, p_ratio, composition, props):
@@ -72,7 +71,7 @@ def _isentropic_temperature(t_in, p_ratio, composition, props):
 
 
 def compress(inlet: GasState, pressure_ratio: float, eta_compressor: float,
-             props=POLYNOMIAL):
+             props=gas):
     """Adiabatic compression. Returns (exit GasState, specific work J/kg)."""
     if eta_compressor <= 0.0:
         raise ValueError(f"eta_compressor must be positive, got {eta_compressor}")
@@ -90,7 +89,7 @@ def compress(inlet: GasState, pressure_ratio: float, eta_compressor: float,
 
 
 def expand(inlet: GasState, exit_pressure: float, eta_turbine: float,
-           props=POLYNOMIAL):
+           props=gas):
     """Adiabatic expansion to exit_pressure. Returns (exit GasState, work J/kg)."""
     if eta_turbine <= 0.0:
         raise ValueError(f"eta_turbine must be positive, got {eta_turbine}")
@@ -112,7 +111,7 @@ def expand(inlet: GasState, exit_pressure: float, eta_turbine: float,
 def combust(inlet: GasState, air_mass_flow: float, fuel_mass_flow: float,
             eta_combustor: float, sigma_combustor: float,
             fuel_lhv: float, fuel_temperature: float | None = None,
-            props=POLYNOMIAL):
+            props=gas):
     """Constant-pressure (times sigma) heat addition by complete H2 combustion.
 
     The exit temperature solves the steady energy balance
@@ -147,7 +146,7 @@ def combust(inlet: GasState, air_mass_flow: float, fuel_mass_flow: float,
     return GasState(products, t_exit, p_exit)
 
 
-def run_cycle(design: CycleDesignPoint, props=POLYNOMIAL):
+def run_cycle(design: CycleDesignPoint, props=gas):
     """Run inlet -> compressor -> combustor -> turbine back to ambient pressure.
 
     Returns (CyclePerformance, list of StationState).
@@ -174,7 +173,7 @@ def run_cycle(design: CycleDesignPoint, props=POLYNOMIAL):
     net_power = turbine_power * design.eta_mechanical - compressor_power
     fuel_power = design.fuel_mass_flow * design.fuel_lhv
     thermal_efficiency = net_power / fuel_power if fuel_power > 0.0 else 0.0
-    sfc = design.fuel_mass_flow / net_power if net_power > 0.0 else math.inf
+    sfc = design.fuel_mass_flow / net_power if net_power > 0.0 else None
 
     performance = CyclePerformance(
         net_power=net_power,

@@ -6,9 +6,10 @@ species with a changeover at 1000 K.  Sensible enthalpy is the analytic
 integral of cp, referenced to 298.15 K; formation enthalpy is carried
 separately so that elements in their reference state contribute zero.
 
-Two property models share one call signature:
+Two property models share one call signature, cp_mass, sensible_enthalpy_mass
+and gamma of (composition, t):
 
-  PolynomialGas   temperature-dependent cp from the embedded tables (default)
+  this module     temperature-dependent cp from the embedded tables (default)
   ConstantCpGas   user-fixed cp and gamma, for textbook constant-property runs
 
 All functions are pure and all value types are immutable, so they are safe
@@ -291,19 +292,6 @@ def unburned_mixture(phi: float) -> GasComposition:
     return GasComposition(fracs)
 
 
-class PolynomialGas:
-    """Default property model: embedded polynomial tables."""
-
-    def cp_mass(self, composition, t):
-        return cp_mass(composition, t)
-
-    def sensible_enthalpy_mass(self, composition, t):
-        return sensible_enthalpy_mass(composition, t)
-
-    def gamma(self, composition, t):
-        return gamma(composition, t)
-
-
 @dataclass(frozen=True)
 class ConstantCpGas:
     """Constant-property model: user-fixed cp (J/kg K) and gamma.
@@ -328,6 +316,3 @@ class ConstantCpGas:
 
     def gamma(self, composition, t):
         return self.gamma_value
-
-
-POLYNOMIAL = PolynomialGas()

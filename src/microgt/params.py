@@ -1,4 +1,5 @@
-"""Declared scenario parameters and the one bracketed scalar root finder.
+"""Declared scenario parameters, the one bracketed scalar root finder and
+the one solver failure.
 
 A dataclass field made with param() carries its config key, its default and
 its allowed values; check() enforces them from __post_init__, and the config
@@ -19,8 +20,12 @@ ROOT_RTOL = 1e-13
 ROOT_MAX_STEPS = 100
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative temperature or root solve failed."""
+class SolverError(RuntimeError):
+    """An iterative solve failed; carries its residual history, if any."""
+
+    def __init__(self, message, residual_history=()):
+        super().__init__(message)
+        self.residual_history = residual_history
 
 
 def _endpoint(text: str) -> float:
@@ -124,12 +129,12 @@ def bracketed_root(f, lo, hi, what):
     """Root of f on [lo, hi] by the Illinois modified regula falsi.
 
     f(lo) and f(hi) must be finite and of opposite sign (or zero), else
-    ConvergenceError names `what`.  Superlinear like Brent's method
+    SolverError names `what`.  Superlinear like Brent's method
     (Dowell & Jarratt, BIT 11, 1971).
     """
     f_lo, f_hi = f(lo), f(hi)
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
-        raise ConvergenceError(
+        raise SolverError(
             f"{what}: residual not finite at the bracket [{lo:g}, {hi:g}] "
             f"({f_lo:.3e}, {f_hi:.3e})")
     if f_lo == 0.0:
@@ -137,7 +142,7 @@ def bracketed_root(f, lo, hi, what):
     if f_hi == 0.0:
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
-        raise ConvergenceError(
+        raise SolverError(
             f"{what}: no root in [{lo:g}, {hi:g}] (residuals {f_lo:.3e}, {f_hi:.3e})")
     side = 0
     for _ in range(ROOT_MAX_STEPS):
@@ -157,5 +162,5 @@ def bracketed_root(f, lo, hi, what):
             side = -1
         if hi - lo <= ROOT_RTOL * abs(x):
             return x
-    raise ConvergenceError(f"{what}: no convergence in {ROOT_MAX_STEPS} steps "
-                           f"(bracket [{lo!r}, {hi!r}])")
+    raise SolverError(f"{what}: no convergence in {ROOT_MAX_STEPS} steps "
+                      f"(bracket [{lo!r}, {hi!r}])")

@@ -1,11 +1,15 @@
+import importlib.util
 import math
 import re
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from microgt import bearing as br
-from microgt import cli, cycle
+from microgt import cli, config, cycle, gas, turbo
+from microgt import combustor as cb
 from microgt.config import ConfigError, DEFAULT_CONFIG, default_config, validate
 
 
@@ -42,6 +46,16 @@ def test_validate_rejects_unknown_key():
     with pytest.raises(ConfigError) as info:
         validate(text)
     assert any("unknown key 'flux_capacitor'" in e for e in info.value.errors)
+
+
+def test_validate_rejects_duplicate_key():
+    text = DEFAULT_CONFIG + "\n[cycle]\npressure_ratio = 9.0\n"
+    first = DEFAULT_CONFIG.splitlines().index("pressure_ratio = 4.0") + 1
+    last = len(text.splitlines())
+    with pytest.raises(ConfigError) as info:
+        validate(text)
+    assert info.value.errors == [f"line {last}: duplicate key 'pressure_ratio' "
+                                 f"in section [cycle] (first on line {first})"]
 
 
 def test_validate_reports_parse_error_with_line_number():
@@ -221,6 +235,29 @@ def test_run_sweep_combustor(tmp_path):
     assert flows == pytest.approx([0.05, 0.10, 0.15])
 
 
+def test_run_cycle_without_net_power_leaves_sfc_empty(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(_with("fuel_mass_flow_kg_s", "0"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "cycle", "--config", str(cfg), "--out", str(out)]) == 0
+    header, row = (out / "performance.csv").read_text().splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    assert float(values["net_power_W"]) < 0.0
+    assert values["sfc_kg_per_J"] == ""
+
+
+def test_run_combustor_fuel_free_point_leaves_chemical_time_empty(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["run", "combustor", "--out", str(out),
+                     "--sweep", "equivalence_ratio=0:0.8:3"]) == 0
+    header, *rows = (out / "combustor.csv").read_text().splitlines()
+    columns = header.split(",")
+    fuel_free, *burning = [dict(zip(columns, r.split(","))) for r in rows]
+    assert fuel_free["chemical_time_s"] == ""
+    assert float(fuel_free["damkohler"]) == 0.0 and fuel_free["stable"] == "0"
+    assert all(float(r["chemical_time_s"]) > 0.0 for r in burning)
+
+
 def test_run_rejects_bad_sweep(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["run", "combustor", "--out", str(out),
@@ -272,24 +309,29 @@ def test_run_rejects_out_of_bound_sweep_value(tmp_path, capsys, subcommand, swee
 
 
 # in-bounds values whose arithmetic fails: an exponential overflow, three
-# divisions by an underflowed zero, a singular Reynolds Jacobian, and a
-# rotor weight beyond float range, met already at validation; numpy warns
-# of the overflows on the way
+# divisions by an underflowed zero, a singular Reynolds Jacobian, two
+# turbine flows whose power overflows to inf and nan, and a rotor weight
+# beyond float range, met already at validation; numpy warns of the
+# overflows on the way.  The error line starts with the failed stage.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("key, value", [
-    ("chem_activation_j_per_mol", "1e9"),
-    ("chem_phi_exponent", "1e300"),
-    ("blade_height_m", "1e-320"),
-    ("nominal_clearance_m", "1e-300"),
-    ("top_groove_depth_m", "1e300"),
-    ("outer_diameter_m", "1e200"),
-])
-def test_run_reports_arithmetic_failure_with_exit_2(tmp_path, capsys, key, value):
+@pytest.mark.parametrize("key, value, start", [
+    pytest.param(key, value, start, id=f"{key}-{value}") for key, value, start in [
+        ("chem_activation_j_per_mol", "1e9", "combustor: "),
+        ("chem_phi_exponent", "1e300", "combustor: "),
+        ("blade_height_m", "1e-320", "turbine: "),
+        ("mass_flow_kg_s", "1e300", "turbine: operating_line.csv: power_W not finite\n"),
+        ("mass_flow_kg_s", "1e305",
+         "turbine: operating_line.csv: specific_work_J_kg not finite\n"),
+        ("nominal_clearance_m", "1e-300", "bearing: "),
+        ("top_groove_depth_m", "1e300", "bearing: "),
+        ("outer_diameter_m", "1e200", "config: "),
+    ]])
+def test_run_reports_arithmetic_failure_with_exit_2(tmp_path, capsys, key, value, start):
     cfg = tmp_path / "cfg"
     cfg.write_text(_with(key, value))
     out = tmp_path / "out"
     assert cli.main(["run", "all", "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {start}")
     assert not out.exists()
 
 
@@ -352,3 +394,19 @@ def test_run_prints_residual_history_on_solver_error(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert "line search stalled" in err
     assert "residual history: 1.000e+00 5.000e-01" in err
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    """bench/spans.py wraps microgt functions by name, so a renamed one would
+    fail only the traced benchmark run; this installs the tracer here too."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, gas, br, cb, cycle, turbo, config, cli)
+    finally:
+        assert tracer.uninstall() == []
+    assert default_config().property_model is gas  # the model bench passes to run_cycle

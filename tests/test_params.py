@@ -7,7 +7,7 @@ from microgt import combustor as cb
 from microgt import cycle as cyc
 from microgt import gas
 from microgt.config import DEFAULT_CONFIG, SECTIONS, ConfigError, validate
-from microgt.params import ConvergenceError, Param, bracketed_root, declared
+from microgt.params import Param, SolverError, bracketed_root, declared
 
 
 def _declarations():
@@ -119,12 +119,12 @@ def test_bracketed_root_finds_a_root_superlinearly():
 
 
 def test_bracketed_root_rejects_an_unbracketed_interval():
-    with pytest.raises(ConvergenceError, match="no root"):
+    with pytest.raises(SolverError, match="no root"):
         bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0, "test")
 
 
 def test_bracketed_root_rejects_a_non_finite_end():
-    with pytest.raises(ConvergenceError, match="not finite"):
+    with pytest.raises(SolverError, match="not finite"):
         bracketed_root(lambda x: math.nan if x < 0.0 else x - 1.0, -1.0, 2.0, "test")
 
 
@@ -133,7 +133,7 @@ def test_exit_temperature_outside_bracket_raises_instead_of_clamping():
     # below 250 K, where an exit temperature used to be clamped without a word.
     geometry = cb.CombustorGeometry(wall_thermal_conductance=10.0)
     op = cb.CombustorOperatingPoint(0.15e-3, 0.8)
-    with pytest.raises(ConvergenceError, match="combustor exit temperature"):
+    with pytest.raises(SolverError, match="combustor exit temperature"):
         cb.stability(geometry, op, ambient_temperature=200.0)
 
 
