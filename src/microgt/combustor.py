@@ -180,7 +180,7 @@ def residence_time(geometry: CombustorGeometry, op: CombustorOperatingPoint,
     if flame_temperature <= 0.0:
         raise ValueError("flame_temperature must be positive")
     products = gas.burned_composition(op.equivalence_ratio)
-    rho = (op.inlet_pressure * gas.mixture_molar_mass(products)
+    rho = (op.inlet_pressure * products.molar_mass
            / (gas.R_UNIVERSAL * flame_temperature))
     return geometry.chamber_volume * rho / op.total_mass_flow
 

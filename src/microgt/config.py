@@ -100,8 +100,14 @@ class ConfigError(ValueError):
         self.errors = list(errors)
 
 
+# Largest bearing grid, in nodes.  The finest grids of the convergence
+# study (129x768, 257x384, 513x192) fit; one 257x384 solve peaks near 350 MB.
+MAX_GRID_NODES = 100_000
+
+
 def _cross_field_errors(values) -> list:
-    """Violations of the rules that span records; each record checks its own."""
+    """Violations of the rules that span records or run settings; each record
+    checks its own."""
     errors = []
     # mirrors run_cycle: the turbine expands (p_a * pressure_ratio) *
     # sigma_combustor back to p_a, which cycle.expand rejects when it is less
@@ -113,6 +119,10 @@ def _cross_field_errors(values) -> list:
     turb = values["turbine"]
     if turb["rpm_max"] < turb["rpm_min"]:
         errors.append("[turbine] rpm_max must be >= rpm_min")
+    b = values["bearing"]
+    if b["grid_radial_nodes"] * b["grid_angular_nodes"] > MAX_GRID_NODES:
+        errors.append(f"[bearing] grid_radial_nodes * grid_angular_nodes must be "
+                      f"<= {MAX_GRID_NODES}: the field and its Jacobian must fit in memory")
     return errors
 
 

@@ -159,9 +159,18 @@ def species(name: str) -> SpeciesThermo:
 
 @dataclass(frozen=True)
 class GasComposition:
-    """Mole fractions of a gas mixture; fractions must sum to 1 within 1e-9."""
+    """Mole fractions of a gas mixture; fractions must sum to 1 within 1e-9.
+
+    Building one looks up each species once and computes the two constants
+    of the mixture: the mole-fraction weighted molar mass (kg/mol) and the
+    standard formation enthalpy (J/kg).  They and the (mole fraction,
+    SpeciesThermo) pairs take no part in equality or repr.
+    """
 
     mole_fractions: Mapping[str, float]
+    species_thermo: tuple = field(init=False, compare=False, repr=False)
+    molar_mass: float = field(init=False, compare=False, repr=False)  # kg/mol
+    formation_enthalpy: float = field(init=False, compare=False, repr=False)  # J/kg
 
     def __post_init__(self):
         fracs = dict(self.mole_fractions)
@@ -171,10 +180,13 @@ class GasComposition:
         total = sum(fracs.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mole fractions sum to {total!r}, expected 1 within 1e-9")
+        pairs = tuple((x, species(name)) for name, x in fracs.items())
+        molar_mass = sum(x * sp.molar_mass for x, sp in pairs)
         object.__setattr__(self, "mole_fractions", MappingProxyType(fracs))
-
-    def items(self):
-        return self.mole_fractions.items()
+        object.__setattr__(self, "species_thermo", pairs)
+        object.__setattr__(self, "molar_mass", molar_mass)
+        object.__setattr__(self, "formation_enthalpy",
+                           sum(x * sp.h_formation for x, sp in pairs) / molar_mass)
 
 
 AIR = GasComposition(AIR_MOLE_FRACTIONS)
@@ -193,14 +205,9 @@ class GasState:
         check(self)
 
 
-def mixture_molar_mass(composition: GasComposition) -> float:
-    """Mole-fraction weighted molar mass, kg/mol."""
-    return sum(x * species(name).molar_mass for name, x in composition.items())
-
-
 def specific_gas_constant(composition: GasComposition) -> float:
     """R / mixture molar mass, J/(kg K)."""
-    return R_UNIVERSAL / mixture_molar_mass(composition)
+    return R_UNIVERSAL / composition.molar_mass
 
 
 def density(state: GasState) -> float:
@@ -210,29 +217,23 @@ def density(state: GasState) -> float:
 
 def cp_molar(composition: GasComposition, t: float) -> float:
     """Mole-fraction weighted molar cp, J/(mol K)."""
-    return sum(x * species(name).cp_molar(t) for name, x in composition.items())
+    return sum(x * sp.cp_molar(t) for x, sp in composition.species_thermo)
 
 
 def cp_mass(composition: GasComposition, t: float) -> float:
     """Mixture heat capacity on a mass basis, J/(kg K)."""
-    return cp_molar(composition, t) / mixture_molar_mass(composition)
+    return cp_molar(composition, t) / composition.molar_mass
 
 
 def sensible_enthalpy_mass(composition: GasComposition, t: float) -> float:
     """Sensible enthalpy relative to 298.15 K, J/kg."""
-    h = sum(x * species(name).sensible_enthalpy_molar(t) for name, x in composition.items())
-    return h / mixture_molar_mass(composition)
-
-
-def formation_enthalpy_mass(composition: GasComposition) -> float:
-    """Mixture standard formation enthalpy, J/kg."""
-    h = sum(x * species(name).h_formation for name, x in composition.items())
-    return h / mixture_molar_mass(composition)
+    h = sum(x * sp.sensible_enthalpy_molar(t) for x, sp in composition.species_thermo)
+    return h / composition.molar_mass
 
 
 def enthalpy_mass(composition: GasComposition, t: float) -> float:
     """Total enthalpy: sensible part relative to 298.15 K plus formation, J/kg."""
-    return sensible_enthalpy_mass(composition, t) + formation_enthalpy_mass(composition)
+    return sensible_enthalpy_mass(composition, t) + composition.formation_enthalpy
 
 
 def gamma(composition: GasComposition, t: float) -> float:
@@ -269,8 +270,7 @@ def burned_composition(phi: float) -> GasComposition:
 def fuel_air_mass_ratio(phi: float) -> float:
     """Fuel/air mass ratio of an H2-air mixture at equivalence ratio phi."""
     x_o2 = AIR_MOLE_FRACTIONS["O2"]
-    m_air = mixture_molar_mass(AIR)
-    return 2.0 * phi * x_o2 * species("H2").molar_mass / m_air
+    return 2.0 * phi * x_o2 * species("H2").molar_mass / AIR.molar_mass
 
 
 def equivalence_ratio(fuel_mass_flow: float, air_mass_flow: float) -> float:

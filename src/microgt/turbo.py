@@ -36,6 +36,13 @@ class RotorGeometry:
         check(self)
         if not self.outer_diameter > self.inner_diameter:
             raise ValueError("outer_diameter_m must exceed inner_diameter_m")
+        try:  # the weight is the bearing's default external axial load
+            finite = math.isfinite(self.rotor_mass * GRAVITY)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("outer_diameter_m and blade_height_m give a rotor weight "
+                             "beyond float range")
 
     @property
     def tip_radius(self) -> float:

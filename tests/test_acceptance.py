@@ -95,7 +95,7 @@ def test_criterion_05_flame_temperature_oracle():
         def h_total(comp, t):
             ts = np.linspace(gas.T_REFERENCE, t, 2000)
             cps = np.array([gas.cp_mass(comp, x) for x in ts])
-            return np.trapezoid(cps, ts) + gas.formation_enthalpy_mass(comp)
+            return np.trapezoid(cps, ts) + comp.formation_enthalpy
 
         target = h_total(mix, 300.0)
         return brentq(lambda t: h_total(prod, t) - target, 301.0, 3300.0)

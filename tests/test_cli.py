@@ -92,6 +92,37 @@ def test_order_rule_is_one_violation_naming_both_keys(tmp_path, capsys, section,
     assert info.value.errors == [errors[0].removeprefix("invalid: ")]
 
 
+@pytest.mark.parametrize("key, value", [
+    ("outer_diameter_m", "1e200"),  # r_tip ** 2 overflows
+    ("blade_height_m", "1.7e308"),  # the mass is finite, its weight inf
+], ids=["overflow", "inf"])
+def test_validate_rejects_rotor_weight_beyond_float_range(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(_with(key, value))
+    assert cli.main(["validate", str(cfg)]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1
+    assert all(name in errors[0] for name in ("[turbine]", "outer_diameter_m",
+                                               "blade_height_m"))
+
+
+@pytest.mark.parametrize("n_r, n_theta, code", [
+    (129, 768, 0), (257, 384, 0), (513, 192, 0),
+    (1000000, 96, 1), (65, 1000000, 1), (317, 317, 1),
+])
+def test_validate_bounds_grid_node_count(tmp_path, capsys, n_r, n_theta, code):
+    # validation only: a solve on the rejected grids would not fit in memory
+    text = re.sub(r"^grid_radial_nodes = .*$", f"grid_radial_nodes = {n_r}",
+                  _with("grid_angular_nodes", n_theta), flags=re.M)
+    cfg = tmp_path / "cfg"
+    cfg.write_text(text)
+    assert cli.main(["validate", str(cfg)]) == code
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == code
+    assert all(name in line for line in errors
+               for name in ("[bearing]", "grid_radial_nodes", "grid_angular_nodes"))
+
+
 def test_validate_accepts_angular_nodes_off_multiples_of_four(tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text(_with("grid_angular_nodes", 98))
@@ -309,9 +340,8 @@ def test_run_rejects_out_of_bound_sweep_value(tmp_path, capsys, subcommand, swee
 
 
 # in-bounds values whose arithmetic fails: an exponential overflow, three
-# divisions by an underflowed zero, a singular Reynolds Jacobian, two
-# turbine flows whose power overflows to inf and nan, and a rotor weight
-# beyond float range, met already at validation; numpy warns of the
+# divisions by an underflowed zero, a singular Reynolds Jacobian and two
+# turbine flows whose power overflows to inf and nan; numpy warns of the
 # overflows on the way.  The error line starts with the failed stage.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("key, value, start", [
@@ -324,7 +354,6 @@ def test_run_rejects_out_of_bound_sweep_value(tmp_path, capsys, subcommand, swee
          "turbine: operating_line.csv: specific_work_J_kg not finite\n"),
         ("nominal_clearance_m", "1e-300", "bearing: "),
         ("top_groove_depth_m", "1e300", "bearing: "),
-        ("outer_diameter_m", "1e200", "config: "),
     ]])
 def test_run_reports_arithmetic_failure_with_exit_2(tmp_path, capsys, key, value, start):
     cfg = tmp_path / "cfg"

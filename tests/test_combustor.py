@@ -22,7 +22,7 @@ def numeric_flame_temperature(phi, t_in):
     def h_total(comp, t):
         ts = np.linspace(gas.T_REFERENCE, t, 3000)
         cps = np.array([gas.cp_mass(comp, x) for x in ts])
-        return np.trapezoid(cps, ts) + gas.formation_enthalpy_mass(comp)
+        return np.trapezoid(cps, ts) + comp.formation_enthalpy
 
     target = h_total(mix, t_in)
     return brentq(lambda t: h_total(prod, t) - target, t_in + 1.0, 3300.0,
@@ -152,7 +152,7 @@ def test_residence_time_hand_formula():
     geom = GEOM_10
     volume = math.pi * (8.0e-3 ** 2 - 5.0e-3 ** 2) * 1.0e-3
     mdot = 0.15e-3 * (1.0 + 0.6 * gas.fuel_air_mass_ratio(1.0))
-    rho = 101325.0 * gas.mixture_molar_mass(gas.burned_composition(0.6)) / (
+    rho = 101325.0 * gas.burned_composition(0.6).molar_mass / (
         gas.R_UNIVERSAL * 1600.0)
     assert cb.residence_time(geom, op, 1600.0) == pytest.approx(
         volume * rho / mdot, rel=1e-9)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from microgt import gas
 from microgt.gas import (AIR, ConstantCpGas, GasComposition, GasState,
@@ -29,7 +30,7 @@ def test_enthalpy_reference_temperature_is_formation_only():
     for comp in (AIR, gas.burned_composition(0.7)):
         assert gas.sensible_enthalpy_mass(comp, gas.T_REFERENCE) == pytest.approx(0.0, abs=1e-9)
         assert gas.enthalpy_mass(comp, gas.T_REFERENCE) == pytest.approx(
-            gas.formation_enthalpy_mass(comp))
+            comp.formation_enthalpy)
 
 
 def test_air_enthalpy_rise_300_to_600():
@@ -114,7 +115,7 @@ def test_mixing_linearity():
     blend = GasComposition({"N2": 0.5, "H2O": 0.5})
     t = 900.0
     cp_expected = (0.5 * gas.cp_molar(a, t) + 0.5 * gas.cp_molar(b, t)) / (
-        0.5 * gas.mixture_molar_mass(a) + 0.5 * gas.mixture_molar_mass(b))
+        0.5 * a.molar_mass + 0.5 * b.molar_mass)
     assert gas.cp_mass(blend, t) == pytest.approx(cp_expected, rel=1e-12)
 
 
@@ -159,3 +160,47 @@ def test_density_ideal_gas():
     rho = gas.density(GasState(AIR, 300.0, 101325.0))
     m_air = 0.7808 * 28.0134e-3 + 0.2095 * 31.9988e-3 + 0.0097 * 39.948e-3
     assert rho == pytest.approx(101325.0 * m_air / (8.314462618 * 300.0), rel=1e-9)
+
+
+def _per_call_reference(comp, t):
+    """molar mass, formation enthalpy, cp, sensible and total enthalpy and
+    gamma as sums over the species looked up by name on every call."""
+    def mix(value):
+        return sum(x * value(gas.species(name)) for name, x in comp.mole_fractions.items())
+    m = mix(lambda sp: sp.molar_mass)
+    h_f = mix(lambda sp: sp.h_formation) / m
+    cp = mix(lambda sp: sp.cp_molar(t)) / m
+    h_s = mix(lambda sp: sp.sensible_enthalpy_molar(t)) / m
+    return m, h_f, cp, h_s, h_s + h_f, cp / (cp - gas.R_UNIVERSAL / m)
+
+
+def _blend(weights):
+    total = sum(weights.values())
+    return GasComposition({name: w / total for name, w in weights.items()})
+
+
+compositions = st.one_of(
+    st.sampled_from([AIR, gas.PURE_H2]),
+    st.floats(0.0, 1.0).map(gas.burned_composition),
+    st.floats(0.0, 1.0).map(gas.unburned_mixture),
+    st.dictionaries(st.sampled_from(sorted(gas.SPECIES)), st.floats(1e-3, 1.0),
+                    min_size=1).map(_blend),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(compositions, st.one_of(st.just(1000.0), st.floats(250.0, 3500.0)))
+def test_properties_equal_per_call_species_sums(comp, t):
+    got = (comp.molar_mass, comp.formation_enthalpy, gas.cp_mass(comp, t),
+           gas.sensible_enthalpy_mass(comp, t), gas.enthalpy_mass(comp, t),
+           gas.gamma(comp, t))
+    assert got == _per_call_reference(comp, t)
+
+
+def test_enthalpy_makes_no_species_lookup(monkeypatch):
+    lookups = []
+    lookup = gas.species
+    monkeypatch.setattr(gas, "species", lambda name: lookups.append(name) or lookup(name))
+    for i in range(100):
+        gas.enthalpy_mass(AIR, 300.0 + i)
+    assert lookups == []

@@ -40,7 +40,7 @@ def test_triangle_meridional_hand_formula():
     area = turbo.rotor_inlet_area(GEOM)
     tri = turbo.velocity_triangle(GEOM.tip_radius, 15000.0, 0.36e-3, COLD,
                                   area, 70.0)
-    rho = 101325.0 * gas.mixture_molar_mass(AIR) / (gas.R_UNIVERSAL * 300.0)
+    rho = 101325.0 * AIR.molar_mass / (gas.R_UNIVERSAL * 300.0)
     assert tri.meridional == pytest.approx(0.36e-3 / (rho * area), rel=1e-9)
 
 
