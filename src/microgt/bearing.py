@@ -550,14 +550,6 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
     co = _coefficients(bearing, film, n_r, n_theta)
     du, dv, s, lam, e_cell, s3 = co.du, co.dv, co.s, co.lam, co.e_cell, co.s3
     one_plus_s2 = 1.0 + s * s
-    n_rows = n_r - 2
-
-    def full_field(q_int):
-        q = np.empty((n_r, n_theta))
-        q[0, :] = 1.0
-        q[-1, :] = 1.0
-        q[1:-1, :] = q_int
-        return q
 
     # Per-node magnitude of the flux terms, the yardstick of convergence.
     couette = (co.inv_h2_left + co.inv_h2_right) / s3
@@ -571,8 +563,8 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
 
     if factor is None:
         factor = JacobianFactor()
-    q_int = np.ones((n_rows, n_theta))
-    terms = _row_terms(co, full_field(q_int))
+    q = np.ones((n_r, n_theta))  # the boundary rows stay at ambient
+    terms = _row_terms(co, q)
     f = _cross_rows(co, terms)
     history = []
     for iteration in range(NEWTON_MAX_ITERATIONS):
@@ -582,17 +574,18 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
             break
         try:
             step = _newton_step(_jacobian(co, terms, f), -f.ravel(), factor
-                                ).reshape(n_rows, n_theta)
+                                ).reshape(f.shape)
         except RuntimeError as exc:  # SuperLU: the Jacobian is singular
             raise SolverError(f"{exc} at iteration {iteration}", history) from exc
         norm0 = float(np.linalg.norm(f))
         alpha = 1.0
         for _ in range(40):
-            trial = q_int + alpha * step
-            if np.min(trial) <= 0.01:
+            trial = q.copy()
+            trial[1:-1] += alpha * step
+            if np.min(trial[1:-1]) <= 0.01:
                 alpha *= 0.5
                 continue
-            trial_terms = _row_terms(co, full_field(trial))
+            trial_terms = _row_terms(co, trial)
             f_trial = _cross_rows(co, trial_terms)
             if float(np.linalg.norm(f_trial)) <= (1.0 - 1e-4 * alpha) * norm0:
                 break
@@ -600,13 +593,13 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
         else:
             raise SolverError(
                 f"line search stalled at iteration {iteration}", history)
-        q_int, terms, f = trial, trial_terms, f_trial
+        q, terms, f = trial, trial_terms, f_trial
     else:
         raise SolverError(
             f"Newton did not reach residual {NEWTON_TOLERANCE:g} in "
             f"{NEWTON_MAX_ITERATIONS} iterations (last {history[-1]:.3e})", history)
 
-    pressures = np.sqrt(full_field(q_int)) * p_amb
+    pressures = np.sqrt(q) * p_amb
     radii = bearing.inner_radius * np.exp(co.u_nodes)
     angles = np.mod(co.v_nodes[None, :] + co.u_nodes[:, None] / signed_spiral_tangent(bearing),
                     2.0 * math.pi)

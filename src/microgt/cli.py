@@ -13,6 +13,8 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import bearing as br
 from . import combustor as cb
 from . import cycle as cyc
@@ -34,8 +36,7 @@ SWEEP_KEYS = {
 
 @dataclass
 class ReportBundle:
-    config_hash: str
-    tables: dict  # filename -> list of rows (each row: list of values)
+    tables: dict  # filename -> (header, rows); a row is a sequence of values
     summary: list  # lines
     warnings: list
 
@@ -82,10 +83,15 @@ def _parse_sweep(spec: str):
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
         raise ValueError("sweep point count must be >= 1")
+    return key.strip(), _points(start, stop, count)
+
+
+def _points(start, stop, count):
+    """count evenly spaced values from start to stop; [start] for count 1."""
     if count == 1:
-        return key.strip(), [start]
+        return [start]
     step = (stop - start) / (count - 1)
-    return key.strip(), [start + i * step for i in range(count)]
+    return [start + i * step for i in range(count)]
 
 
 def _swept(config: ScenarioConfig, section: str, sweep):
@@ -135,7 +141,6 @@ def run_cycle(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
                          p.thermal_efficiency])
         bundle.tables["cycle_sweep.csv"] = (
             [key, "net_power_W", "TIT_K", "thermal_efficiency"], rows)
-    return perf
 
 
 def run_combustor(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
@@ -167,7 +172,6 @@ def run_combustor(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
         f"combustor: exit temperature {last.exit_temperature:.1f} K, "
         f"wall {last.wall_temperature:.1f} K",
     ]
-    return last
 
 
 def run_turbine(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
@@ -183,9 +187,7 @@ def run_turbine(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
     if sweep:
         rpms = [c.raw["turbine"]["rpm"] for c in _swept(config, "turbine", sweep)]
     else:
-        n = t["rpm_points"]
-        step = (t["rpm_max"] - t["rpm_min"]) / (n - 1)
-        rpms = [t["rpm_min"] + i * step for i in range(n)]
+        rpms = _points(t["rpm_min"], t["rpm_max"], t["rpm_points"])
 
     rows = []
     for rpm in rpms:
@@ -211,7 +213,6 @@ def run_turbine(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
         f"turbine: zero-incidence speed {rpm_zero:.0f} rpm",
         f"turbine: rotor mass {geom.rotor_mass * 1e6:.1f} mg",
     ]
-    return rpm_zero
 
 
 def run_bearing(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
@@ -227,12 +228,9 @@ def run_bearing(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
     # the load-map and stiffness solves refine against the field solve's factor
     factor = br.JacobianFactor()
     field = br.solve_reynolds(top, film, n_r, n_theta, factor)
-    rows = []
-    for i in range(field.radii.size):
-        for j in range(field.angles.shape[1]):
-            rows.append([field.radii[i], field.angles[i, j],
-                         field.pressures[i, j]])
-    bundle.tables["field.csv"] = (["r_m", "theta_rad", "p_Pa"], rows)
+    bundle.tables["field.csv"] = (["r_m", "theta_rad", "p_Pa"], list(zip(
+        np.repeat(field.radii, n_theta).tolist(), field.angles.ravel().tolist(),
+        field.pressures.ravel().tolist())))
 
     def check_regime(face, f):
         lam = abs(br.compressibility_number(face, f))
@@ -272,14 +270,13 @@ def run_bearing(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
             top, bottom, b["total_axial_gap_m"], config.external_axial_load, film)
     except br.NoEquilibriumError as exc:
         bundle.summary.append(f"bearing: axial equilibrium clearances not found ({exc})")
-        return None
+        return
     check_regime(top, replace(film, nominal_clearance=equilibrium.top_clearance))
     check_regime(bottom, replace(film, nominal_clearance=equilibrium.bottom_clearance))
     bundle.summary.append(
         f"bearing: axial equilibrium clearances top {equilibrium.top_clearance * 1e6:.2f} um / "
         f"bottom {equilibrium.bottom_clearance * 1e6:.2f} um "
         f"(converged={equilibrium.converged})")
-    return equilibrium
 
 
 # Stage name -> runner, in the order `run all` runs them.
@@ -294,8 +291,7 @@ def run(subcommand: str, config: ScenarioConfig, out_dir: Path, sweep=None) -> i
         print(f"error: --sweep needs a single subcommand: {', '.join(STAGES)}",
               file=sys.stderr)
         return 2
-    bundle = ReportBundle(config_hash=config.config_hash, tables={}, summary=[],
-                          warnings=[])
+    bundle = ReportBundle(tables={}, summary=[], warnings=[])
     for stage in STAGES if subcommand == "all" else [subcommand]:
         made = len(bundle.tables)
         try:
@@ -324,7 +320,7 @@ def run(subcommand: str, config: ScenarioConfig, out_dir: Path, sweep=None) -> i
                 path.write_text(_csv(header, rows))
                 written.append(path)
             summary = out_dir / "summary.txt"
-            lines = ([f"config_hash: {bundle.config_hash}"] + bundle.summary
+            lines = ([f"config_hash: {config.config_hash}"] + bundle.summary
                      + [f"warning: {w}" for w in bundle.warnings])
             summary.write_text("\n".join(lines) + "\n")
             written.append(summary)

@@ -201,8 +201,7 @@ def chemical_time(phi: float, pressure: float, preheat_temperature: float,
     return chemistry.prefactor * arrhenius / scale
 
 
-def _solve_thermal(geometry: CombustorGeometry, op: CombustorOperatingPoint,
-                   ambient_temperature: float = AMBIENT_TEMPERATURE):
+def _solve_thermal(geometry: CombustorGeometry, op: CombustorOperatingPoint):
     """Coupled exit/wall temperatures assuming a burning chamber.
 
     Gas balance:   mdot [h_tot(products, T_exit) - h_tot(mixture, T_in)]
@@ -221,8 +220,11 @@ def _solve_thermal(geometry: CombustorGeometry, op: CombustorOperatingPoint,
     g_loss = geometry.wall_thermal_conductance
     t_in = op.inlet_temperature
 
+    def exit_target(t_w):
+        return h_in - g_loss * (t_w - AMBIENT_TEMPERATURE) / mdot
+
     def exit_for_wall(t_w):
-        target = h_in - g_loss * (t_w - ambient_temperature) / mdot
+        target = exit_target(t_w)
         return bracketed_root(lambda t: gas.enthalpy_mass(products, t) - target,
                               gas.T_MIN, 3400.0, "combustor exit temperature")
 
@@ -231,10 +233,15 @@ def _solve_thermal(geometry: CombustorGeometry, op: CombustorOperatingPoint,
         eps, capacity = _recuperator(geometry, mixture, mdot, t_in, t_w)
         g_int = INTERIOR_EFFECTIVENESS * mdot * gas.cp_mass(products, t_e)
         k_rec = capacity * eps
-        return ((g_int * t_e + g_loss * ambient_temperature + k_rec * t_in)
+        return ((g_int * t_e + g_loss * AMBIENT_TEMPERATURE + k_rec * t_in)
                 / (g_int + g_loss + k_rec)), t_e, eps
 
-    t_w = max(t_in, ambient_temperature)
+    # A wall at a hot inlet's temperature can lose more than the flame releases,
+    # leaving no exit temperature on the tables; such a chamber still burns,
+    # with a wall below the inlet, so its iteration starts at the sink.
+    t_w = max(t_in, AMBIENT_TEMPERATURE)
+    if t_in > AMBIENT_TEMPERATURE and exit_target(t_in) < gas.enthalpy_mass(products, gas.T_MIN):
+        t_w = AMBIENT_TEMPERATURE
     for _ in range(400):
         t_w_new, t_e, eps = wall_update(t_w)
         if abs(t_w_new - t_w) < 1e-9 * max(t_w, 1.0):
@@ -251,8 +258,7 @@ def _solve_thermal(geometry: CombustorGeometry, op: CombustorOperatingPoint,
 
 
 def stability(geometry: CombustorGeometry, op: CombustorOperatingPoint,
-              chemistry: ChemicalTimeModel = DEFAULT_CHEMISTRY,
-              ambient_temperature: float = AMBIENT_TEMPERATURE) -> StabilityResult:
+              chemistry: ChemicalTimeModel = DEFAULT_CHEMISTRY) -> StabilityResult:
     """Blow-out classification of one operating point.
 
     Evaluates the burning-chamber thermal state, the recuperator preheat, the
@@ -266,9 +272,9 @@ def stability(geometry: CombustorGeometry, op: CombustorOperatingPoint,
         return StabilityResult(
             residence_time=residence_time(geometry, op, op.inlet_temperature),
             chemical_time=None, damkohler=0.0, stable=False,
-            exit_temperature=op.inlet_temperature, wall_temperature=ambient_temperature,
+            exit_temperature=op.inlet_temperature, wall_temperature=AMBIENT_TEMPERATURE,
         )
-    t_exit, t_wall, t_pre = _solve_thermal(geometry, op, ambient_temperature)
+    t_exit, t_wall, t_pre = _solve_thermal(geometry, op)
     t_flame = adiabatic_flame_temperature(phi, t_pre)
     tau_res = residence_time(geometry, op, t_flame)
     tau_chem = chemical_time(phi, op.inlet_pressure, t_pre, chemistry)
@@ -277,7 +283,7 @@ def stability(geometry: CombustorGeometry, op: CombustorOperatingPoint,
     if stable:
         return StabilityResult(tau_res, tau_chem, da, True, t_exit, t_wall)
     return StabilityResult(tau_res, tau_chem, da, False,
-                           op.inlet_temperature, ambient_temperature)
+                           op.inlet_temperature, AMBIENT_TEMPERATURE)
 
 
 def blowout_mass_flow(geometry: CombustorGeometry, phi: float,

@@ -110,8 +110,7 @@ def expand(inlet: GasState, exit_pressure: float, eta_turbine: float,
 
 def combust(inlet: GasState, air_mass_flow: float, fuel_mass_flow: float,
             eta_combustor: float, sigma_combustor: float,
-            fuel_lhv: float, fuel_temperature: float | None = None,
-            props=gas):
+            fuel_lhv: float, fuel_temperature: float, props=gas):
     """Constant-pressure (times sigma) heat addition by complete H2 combustion.
 
     The exit temperature solves the steady energy balance
@@ -120,16 +119,14 @@ def combust(inlet: GasState, air_mass_flow: float, fuel_mass_flow: float,
                                + eta_b * mdot_f * LHV
 
     on sensible enthalpies, by a bracketed root solve on [250 K, 3000 K].
-    Fuel enters at fuel_temperature (defaults to the inlet temperature)
-    fully premixed.  Without fuel the inlet state passes through at the
-    exit pressure; fuel without air raises ValueError.
+    Fuel enters at fuel_temperature, fully premixed.  Without fuel the inlet
+    state passes through at the exit pressure; fuel without air raises
+    ValueError.
     """
     p_exit = inlet.pressure * sigma_combustor
     if fuel_mass_flow == 0.0:
         return GasState(inlet.composition, inlet.temperature, p_exit)
 
-    if fuel_temperature is None:
-        fuel_temperature = inlet.temperature
     phi = gas.equivalence_ratio(fuel_mass_flow, air_mass_flow)
     products = gas.burned_composition(phi)  # RichMixtureError above phi = 1
     mdot_out = air_mass_flow + fuel_mass_flow

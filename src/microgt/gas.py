@@ -45,28 +45,36 @@ class RichMixtureError(ValueError):
     """Equivalence ratio above 1; the complete-combustion model is lean-only."""
 
 
+# GRI-Mech 3.0 seven-coefficient fits (a1..a5 of the cp polynomial).  The
+# nominal low-range floor is extended to 250 K; the fits remain smooth and
+# positive there.  High ranges are capped at 3500 K for uniformity.
+T_MIN = 250.0  # K, floor of the tables and lower end of every temperature bracket
+T_JOINT = 1000.0  # K, changeover from the low to the high fit
+T_MAX = 3500.0  # K, ceiling of the tables
+
+
 @dataclass(frozen=True)
 class SpeciesThermo:
     """Polynomial cp fit and formation data for one species.
 
-    cp_coeffs holds a (t_min, t_max, (a1..a5)) tuple for each of the two
-    validity ranges, low then high, meeting at a joint that takes the low
-    fit; cp/R = a1 + a2*T + a3*T^2 + a4*T^3 + a5*T^4 on each range.
+    low holds the coefficients (a1..a5) on [T_MIN, T_JOINT], high those on
+    (T_JOINT, T_MAX]; cp/R = a1 + a2*T + a3*T^2 + a4*T^3 + a5*T^4.
     h_formation is the standard enthalpy of formation at 298.15 K in J/mol.
     """
 
     name: str
     molar_mass: float  # kg/mol
-    cp_coeffs: tuple[tuple[float, float, tuple[float, ...]], ...]
+    low: tuple[float, ...]
+    high: tuple[float, ...]
     h_formation: float  # J/mol
     _h_offsets: tuple[float, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         # Integration constants making the sensible enthalpy zero at
         # T_REFERENCE, in the low range, and continuous across the joint.
-        (_, joint, low), (_, _, high) = self.cp_coeffs
-        ref = self._cp_integral(low, T_REFERENCE)
-        offsets = (-ref, self._cp_integral(low, joint) - self._cp_integral(high, joint) - ref)
+        ref = self._cp_integral(self.low, T_REFERENCE)
+        offsets = (-ref, self._cp_integral(self.low, T_JOINT)
+                   - self._cp_integral(self.high, T_JOINT) - ref)
         object.__setattr__(self, "_h_offsets", offsets)
 
     @staticmethod
@@ -76,75 +84,58 @@ class SpeciesThermo:
         return t * (a1 + t * (a2 / 2 + t * (a3 / 3 + t * (a4 / 4 + t * a5 / 5))))
 
     def _range_index(self, t: float) -> int:
-        (lo, joint, _), (_, hi, _) = self.cp_coeffs
-        if lo <= t <= hi:  # False for nan
-            return 0 if t <= joint else 1
+        if T_MIN <= t <= T_MAX:  # False for nan
+            return 0 if t <= T_JOINT else 1
         raise TemperatureRangeError(
-            f"T = {t:.2f} K outside the [{lo:.0f}, {hi:.0f}] K validity range of species '{self.name}'"
+            f"T = {t:.2f} K outside the [{T_MIN:.0f}, {T_MAX:.0f}] K validity range of species '{self.name}'"
         )
 
     def cp_molar(self, t: float) -> float:
         """Molar heat capacity, J/(mol K)."""
-        coeffs = self.cp_coeffs[self._range_index(t)][2]
-        a1, a2, a3, a4, a5 = coeffs
+        a1, a2, a3, a4, a5 = self.high if self._range_index(t) else self.low
         return R_UNIVERSAL * (a1 + t * (a2 + t * (a3 + t * (a4 + t * a5))))
 
     def sensible_enthalpy_molar(self, t: float) -> float:
         """Sensible enthalpy relative to 298.15 K, J/mol."""
         idx = self._range_index(t)
-        return R_UNIVERSAL * (self._cp_integral(self.cp_coeffs[idx][2], t) + self._h_offsets[idx])
+        return R_UNIVERSAL * (self._cp_integral(self.high if idx else self.low, t)
+                              + self._h_offsets[idx])
 
-
-# GRI-Mech 3.0 seven-coefficient fits (a1..a5 of the cp polynomial).  The
-# nominal low-range floor is extended to 250 K; the fits remain smooth and
-# positive there.  High ranges are capped at 3500 K for uniformity.
-_LOW, _MID, _HIGH = 250.0, 1000.0, 3500.0
-T_MIN = _LOW  # K, floor of the tables and lower end of every temperature bracket
 
 SPECIES: Mapping[str, SpeciesThermo] = MappingProxyType({
     "N2": SpeciesThermo(
         name="N2",
         molar_mass=28.0134e-3,
-        cp_coeffs=(
-            (_LOW, _MID, (3.298677e+00, 1.4082404e-03, -3.963222e-06, 5.641515e-09, -2.444854e-12)),
-            (_MID, _HIGH, (2.92664e+00, 1.4879768e-03, -5.68476e-07, 1.0097038e-10, -6.753351e-15)),
-        ),
+        low=(3.298677e+00, 1.4082404e-03, -3.963222e-06, 5.641515e-09, -2.444854e-12),
+        high=(2.92664e+00, 1.4879768e-03, -5.68476e-07, 1.0097038e-10, -6.753351e-15),
         h_formation=0.0,
     ),
     "O2": SpeciesThermo(
         name="O2",
         molar_mass=31.9988e-3,
-        cp_coeffs=(
-            (_LOW, _MID, (3.78245636e+00, -2.99673416e-03, 9.84730201e-06, -9.68129509e-09, 3.24372837e-12)),
-            (_MID, _HIGH, (3.28253784e+00, 1.48308754e-03, -7.57966669e-07, 2.09470555e-10, -2.16717794e-14)),
-        ),
+        low=(3.78245636e+00, -2.99673416e-03, 9.84730201e-06, -9.68129509e-09, 3.24372837e-12),
+        high=(3.28253784e+00, 1.48308754e-03, -7.57966669e-07, 2.09470555e-10, -2.16717794e-14),
         h_formation=0.0,
     ),
     "Ar": SpeciesThermo(
         name="Ar",
         molar_mass=39.948e-3,
-        cp_coeffs=(
-            (_LOW, _MID, (2.5, 0.0, 0.0, 0.0, 0.0)),
-            (_MID, _HIGH, (2.5, 0.0, 0.0, 0.0, 0.0)),
-        ),
+        low=(2.5, 0.0, 0.0, 0.0, 0.0),
+        high=(2.5, 0.0, 0.0, 0.0, 0.0),
         h_formation=0.0,
     ),
     "H2": SpeciesThermo(
         name="H2",
         molar_mass=2.01588e-3,
-        cp_coeffs=(
-            (_LOW, _MID, (2.34433112e+00, 7.98052075e-03, -1.94781510e-05, 2.01572094e-08, -7.37611761e-12)),
-            (_MID, _HIGH, (3.33727920e+00, -4.94024731e-05, 4.99456778e-07, -1.79566394e-10, 2.00255376e-14)),
-        ),
+        low=(2.34433112e+00, 7.98052075e-03, -1.94781510e-05, 2.01572094e-08, -7.37611761e-12),
+        high=(3.33727920e+00, -4.94024731e-05, 4.99456778e-07, -1.79566394e-10, 2.00255376e-14),
         h_formation=0.0,
     ),
     "H2O": SpeciesThermo(
         name="H2O",
         molar_mass=18.01528e-3,
-        cp_coeffs=(
-            (_LOW, _MID, (4.19864056e+00, -2.03643410e-03, 6.52040211e-06, -5.48797062e-09, 1.77197817e-12)),
-            (_MID, _HIGH, (3.03399249e+00, 2.17691804e-03, -1.64072518e-07, -9.70419870e-11, 1.68200992e-14)),
-        ),
+        low=(4.19864056e+00, -2.03643410e-03, 6.52040211e-06, -5.48797062e-09, 1.77197817e-12),
+        high=(3.03399249e+00, 2.17691804e-03, -1.64072518e-07, -9.70419870e-11, 1.68200992e-14),
         h_formation=-241.826e3,  # J/mol, H2O vapour
     ),
 })

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -274,6 +275,40 @@ def test_energy_closure():
                        - gas.sensible_enthalpy_mass(prod, 300.0))
         loss = GEOM_12.wall_thermal_conductance * (result.wall_temperature - 300.0)
         assert rise + loss == pytest.approx(released, rel=1e-6)
+
+
+def test_hot_inlet_point_with_large_wall_loss_is_solved():
+    # A wall at the 442 K inlet temperature loses more than the flame
+    # releases, so no exit temperature lies on the tables there; the chamber
+    # still burns with a cooler wall and is classified, here as blow-out.
+    result = cb.stability(CombustorGeometry(wall_thermal_conductance=1.0),
+                          CombustorOperatingPoint(4e-5, 0.68, 442.0))
+    assert result.damkohler == pytest.approx(0.165, abs=1e-3)
+    assert not result.stable
+    assert result.exit_temperature == 442.0
+
+
+def test_hot_inlet_grid_solves_both_balances():
+    # For 39 of these 54 points a wall at the inlet temperature loses more
+    # than the flame releases.  Each burning state found must close the gas
+    # balance and be a fixed point of the wall balance.
+    for g, mdot, phi, t_in in itertools.product(
+            (0.56, 1.0, 2.0), (1e-5, 4e-5, 1e-4), (0.3, 0.7), (350.0, 442.0, 600.0)):
+        geom = CombustorGeometry(wall_thermal_conductance=g)
+        op = CombustorOperatingPoint(mdot, phi, t_in)
+        result = cb.stability(geom, op)
+        assert math.isfinite(result.damkohler) and result.damkohler > 0.0
+        t_exit, t_wall, t_pre = cb._solve_thermal(geom, op)
+        mix = gas.unburned_mixture(phi)
+        prod = gas.burned_composition(phi)
+        mtot = op.total_mass_flow
+        gain = mtot * (gas.enthalpy_mass(prod, t_exit) - gas.enthalpy_mass(mix, t_in))
+        assert gain == pytest.approx(-g * (t_wall - cb.AMBIENT_TEMPERATURE), rel=1e-9)
+        eps, capacity = cb._recuperator(geom, mix, mtot, t_in, t_wall)
+        g_int = cb.INTERIOR_EFFECTIVENESS * mtot * gas.cp_mass(prod, t_exit)
+        assert g_int * (t_exit - t_wall) == pytest.approx(
+            g * (t_wall - cb.AMBIENT_TEMPERATURE) + capacity * eps * (t_wall - t_in), rel=1e-6)
+        assert t_pre == pytest.approx(t_in + eps * (t_wall - t_in), rel=1e-12)
 
 
 def test_geometry_validation():

@@ -133,8 +133,8 @@ def test_range_joint_continuity():
     # both coefficient sets agree at the 1000 K changeover within 0.5%
     for name in gas.SPECIES:
         sp = gas.species(name)
-        lo = sum(c * 1000.0 ** i for i, c in enumerate(sp.cp_coeffs[0][2]))
-        hi = sum(c * 1000.0 ** i for i, c in enumerate(sp.cp_coeffs[1][2]))
+        lo = sum(c * 1000.0 ** i for i, c in enumerate(sp.low))
+        hi = sum(c * 1000.0 ** i for i, c in enumerate(sp.high))
         assert hi == pytest.approx(lo, rel=0.005)
 
 

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from microgt import cli
 from microgt import combustor as cb
 from microgt import cycle as cyc
 from microgt import gas
-from microgt.config import DEFAULT_CONFIG, SECTIONS, ConfigError, validate
+from microgt.config import DEFAULT_CONFIG, SECTIONS, ConfigError, default_config, validate
 from microgt.params import Param, SolverError, bracketed_root, declared
 
 
@@ -45,7 +50,7 @@ def _with_value(text, section, key, value):
         if content.startswith("["):
             current = content[1:-1]
         elif current == section and content.split("=", 1)[0].strip() == key:
-            line = f"{key} = {value!r}"
+            line = f"{key} = {value if isinstance(value, str) else repr(value)}"
         lines.append(line)
     return "\n".join(lines) + "\n"
 
@@ -129,12 +134,11 @@ def test_bracketed_root_rejects_a_non_finite_end():
 
 
 def test_exit_temperature_outside_bracket_raises_instead_of_clamping():
-    # A 200 K sink and a large exterior loss put the exit-temperature root
-    # below 250 K, where an exit temperature used to be clamped without a word.
-    geometry = cb.CombustorGeometry(wall_thermal_conductance=10.0)
-    op = cb.CombustorOperatingPoint(0.15e-3, 0.8)
+    # A stoichiometric flame from a 1500 K inlet burns above the 3400 K end of
+    # the exit-temperature bracket; it must raise, not clamp to the bound.
+    op = cb.CombustorOperatingPoint(1e-5, 1.0, 1500.0)
     with pytest.raises(SolverError, match="combustor exit temperature"):
-        cb.stability(geometry, op, ambient_temperature=200.0)
+        cb.stability(cb.CombustorGeometry(), op)
 
 
 @settings(deadline=None, max_examples=60)
@@ -167,3 +171,72 @@ def test_cycle_energy_closure(pressure_ratio, air, phi, eta_c, eta_t, eta_b, eta
     assert all(math.isfinite(s.state.temperature) for s in stations)
     # heat release outweighs the cold fuel, down to rounding at phi -> 0
     assert perf.turbine_inlet_temperature >= stations[1].state.temperature * (1.0 - 1e-12)
+
+
+# Sections whose keys the contract test draws, each with the stage that
+# reads it.  Bearing keys are left out: one bearing run costs seconds.
+CONTRACT_STAGES = {"ambient": "cycle", "properties": "cycle", "cycle": "cycle",
+                   "combustor": "combustor", "calibration": "combustor",
+                   "turbine": "turbine"}
+CONTRACT_KEYS = [(section, key, p) for section, key, p, *_ in _declarations()
+                 if key and section in CONTRACT_STAGES]
+DEFAULT_SCENARIO = default_config()
+
+
+def _drawn_value(p: Param):
+    """A value of p: an end of its bound (inf included), or a value inside,
+    uniform when both ends are finite, else log-uniform in its distance
+    from the lower end over 1e-15 to 1e15.  Integers reach 1000 above it.
+    Every bound of the drawn sections has a finite lower end."""
+    if p.choices:
+        return st.sampled_from(p.choices)
+    lo, hi, _, _ = p.interval
+    if p.kind == "int":
+        inside = st.floats(0.0, 3.0).map(lambda x: int(lo) + int(10.0 ** x))
+    elif math.isfinite(hi):
+        inside = st.floats(lo, hi)
+    else:
+        inside = st.floats(-15.0, 15.0).map(lambda x: lo + 10.0 ** x)
+    return st.one_of(st.sampled_from([lo, hi]), inside)
+
+
+def _csv_floats(out: Path):
+    for path in out.glob("*.csv"):
+        for line in path.read_text().splitlines()[1:]:
+            for cell in line.split(","):
+                try:
+                    yield path.name, float(cell)
+                except ValueError:  # a label or an empty cell
+                    continue
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_every_drawn_input_is_rejected_or_solved_or_reported(data):
+    """The input contract: exit 1 naming the key, exit 0 with finite CSVs,
+    or exit 2 naming the stage, and never an escaped exception."""
+    section, key, p = data.draw(st.sampled_from(CONTRACT_KEYS), label="key")
+    value = data.draw(_drawn_value(p), label="value")
+    stage = CONTRACT_STAGES[section]
+    try:
+        DEFAULT_SCENARIO.with_value(section, key, value)
+        rejected = False
+    except ConfigError:
+        rejected = True
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg", Path(tmp) / "out"
+        cfg.write_text(_with_value(DEFAULT_CONFIG, section, key, value))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["run", stage, "--config", str(cfg), "--out", str(out)])
+        err = err.getvalue()
+        event(f"exit {code}")
+        assert (code == 1) == rejected, err
+        if code == 1:
+            assert f"[{section}]" in err and key in err, err
+        elif code == 0:
+            bad = [(name, v) for name, v in _csv_floats(out) if not math.isfinite(v)]
+            assert not bad, bad
+        else:
+            assert code == 2 and err.startswith(f"error: {stage}:"), (code, err)
+            assert not out.exists()
