@@ -163,11 +163,15 @@ def recuperator_preheat(geometry: CombustorGeometry, op: CombustorOperatingPoint
                         wall_temperature: float):
     """Preheated mixture temperature and the heat drawn from the wall.
 
-    Returns (T_preheat K, heat W); see _recuperator.
+    Returns (T_preheat K, heat W); see _recuperator.  The wall may sit below
+    a hot inlet, as the burning walls of _solve_thermal do, in which case the
+    mixture is cooled; it may not sit below both the inlet and the sink.
     """
     t_in = op.inlet_temperature
-    if wall_temperature < t_in:
-        raise ValueError("wall temperature must be at or above the inlet temperature")
+    floor = min(t_in, AMBIENT_TEMPERATURE)
+    if wall_temperature < floor:
+        raise ValueError(f"wall temperature {wall_temperature:.2f} K is below "
+                         f"min(inlet, ambient) = {floor:.2f} K")
     eps, capacity = _recuperator(geometry, gas.unburned_mixture(op.equivalence_ratio),
                                  op.total_mass_flow, t_in, wall_temperature)
     t_pre = t_in + eps * (wall_temperature - t_in)

@@ -23,6 +23,12 @@ from . import gas, turbo
 from .gas import AIR, ConstantCpGas, GasState
 from .params import Param, declared
 
+# Longest turbine operating line, in points.  Each point is one row of
+# operating_line.csv, about 70 B written in about 20 us, so the cap writes
+# under 1 MB in a fraction of a second; without it a count of 1e12 would
+# ask for some 70 TB and days of work.
+MAX_RPM_POINTS = 10_000
+
 # Section -> its keys in file order: a dataclass stands for its param()
 # fields, a Param for a run setting that no dataclass holds.
 SECTIONS = {
@@ -46,7 +52,7 @@ SECTIONS = {
         Param("rpm", 15000.0, "[0, inf)"),
         Param("rpm_min", 5000.0, "[0, inf)"),
         Param("rpm_max", 30000.0, "(0, inf)"),
-        Param("rpm_points", 11, "[2, inf)"),
+        Param("rpm_points", 11, f"[2, {MAX_RPM_POINTS}]"),
         Param("etch_nonuniformity_fraction", 0.05, "[0, 1)"),
         Param("mass_flow_kg_s", 0.36e-3, "(0, inf)"),
         Param("drive_temperature_k", 300.0, "(0, inf)"),

@@ -12,6 +12,12 @@ and gamma of (composition, t):
   this module     temperature-dependent cp from the embedded tables (default)
   ConstantCpGas   user-fixed cp and gamma, for textbook constant-property runs
 
+A GasComposition holds flat per-species coefficient tables, one per fit
+range, built once with the composition.  A property call makes one range
+check and one loop over the species, so its result depends on the
+composition's species order; tests/test_gas.py pins it bit for bit to the
+per-species SpeciesThermo sums in that order.
+
 All functions are pure and all value types are immutable, so they are safe
 to call concurrently.  Ideal-gas behaviour is assumed throughout; see
 docs/property_data.md for the coefficient listing and validity ranges.
@@ -53,6 +59,19 @@ T_JOINT = 1000.0  # K, changeover from the low to the high fit
 T_MAX = 3500.0  # K, ceiling of the tables
 
 
+def _range_error(t: float, name: str) -> TemperatureRangeError:
+    return TemperatureRangeError(
+        f"T = {t:.2f} K outside the [{T_MIN:.0f}, {T_MAX:.0f}] K validity range of species '{name}'"
+    )
+
+
+def _integral(coeffs, t):
+    # indefinite integral of cp/R from the integral coefficients
+    # (a1, a2/2, a3/3, a4/4, a5) of one range
+    a1, b2, b3, b4, a5 = coeffs
+    return t * (a1 + t * (b2 + t * (b3 + t * (b4 + t * a5 / 5))))
+
+
 @dataclass(frozen=True)
 class SpeciesThermo:
     """Polynomial cp fit and formation data for one species.
@@ -67,28 +86,26 @@ class SpeciesThermo:
     low: tuple[float, ...]
     high: tuple[float, ...]
     h_formation: float  # J/mol
-    _h_offsets: tuple[float, ...] = field(default=(), compare=False)
+    # per range, low then high: the coefficients of the integral of cp/R and
+    # the constant of the sensible enthalpy
+    _integrals: tuple = field(init=False, compare=False, repr=False)
+    _h_offsets: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        integrals = tuple((a1, a2 / 2, a3 / 3, a4 / 4, a5)
+                          for a1, a2, a3, a4, a5 in (self.low, self.high))
         # Integration constants making the sensible enthalpy zero at
         # T_REFERENCE, in the low range, and continuous across the joint.
-        ref = self._cp_integral(self.low, T_REFERENCE)
-        offsets = (-ref, self._cp_integral(self.low, T_JOINT)
-                   - self._cp_integral(self.high, T_JOINT) - ref)
+        low, high = integrals
+        ref = _integral(low, T_REFERENCE)
+        offsets = (-ref, _integral(low, T_JOINT) - _integral(high, T_JOINT) - ref)
+        object.__setattr__(self, "_integrals", integrals)
         object.__setattr__(self, "_h_offsets", offsets)
-
-    @staticmethod
-    def _cp_integral(coeffs, t):
-        # indefinite integral of cp/R
-        a1, a2, a3, a4, a5 = coeffs
-        return t * (a1 + t * (a2 / 2 + t * (a3 / 3 + t * (a4 / 4 + t * a5 / 5))))
 
     def _range_index(self, t: float) -> int:
         if T_MIN <= t <= T_MAX:  # False for nan
             return 0 if t <= T_JOINT else 1
-        raise TemperatureRangeError(
-            f"T = {t:.2f} K outside the [{T_MIN:.0f}, {T_MAX:.0f}] K validity range of species '{self.name}'"
-        )
+        raise _range_error(t, self.name)
 
     def cp_molar(self, t: float) -> float:
         """Molar heat capacity, J/(mol K)."""
@@ -98,8 +115,7 @@ class SpeciesThermo:
     def sensible_enthalpy_molar(self, t: float) -> float:
         """Sensible enthalpy relative to 298.15 K, J/mol."""
         idx = self._range_index(t)
-        return R_UNIVERSAL * (self._cp_integral(self.high if idx else self.low, t)
-                              + self._h_offsets[idx])
+        return R_UNIVERSAL * (_integral(self._integrals[idx], t) + self._h_offsets[idx])
 
 
 SPECIES: Mapping[str, SpeciesThermo] = MappingProxyType({
@@ -154,12 +170,16 @@ class GasComposition:
 
     Building one looks up each species once and computes the two constants
     of the mixture: the mole-fraction weighted molar mass (kg/mol) and the
-    standard formation enthalpy (J/kg).  They and the (mole fraction,
-    SpeciesThermo) pairs take no part in equality or repr.
+    standard formation enthalpy (J/kg).  It also lays out, for each fit
+    range (low, high), one flat tuple per species in mole-fraction order:
+    cp_terms hold (x, a1, a2, a3, a4, a5), enthalpy_terms hold
+    (x, a1, a2/2, a3/3, a4/4, a5, offset).  None of these take part in
+    equality or repr.
     """
 
     mole_fractions: Mapping[str, float]
-    species_thermo: tuple = field(init=False, compare=False, repr=False)
+    cp_terms: tuple = field(init=False, compare=False, repr=False)
+    enthalpy_terms: tuple = field(init=False, compare=False, repr=False)
     molar_mass: float = field(init=False, compare=False, repr=False)  # kg/mol
     formation_enthalpy: float = field(init=False, compare=False, repr=False)  # J/kg
 
@@ -174,7 +194,11 @@ class GasComposition:
         pairs = tuple((x, species(name)) for name, x in fracs.items())
         molar_mass = sum(x * sp.molar_mass for x, sp in pairs)
         object.__setattr__(self, "mole_fractions", MappingProxyType(fracs))
-        object.__setattr__(self, "species_thermo", pairs)
+        object.__setattr__(self, "cp_terms", (tuple([(x, *sp.low) for x, sp in pairs]),
+                                              tuple([(x, *sp.high) for x, sp in pairs])))
+        object.__setattr__(self, "enthalpy_terms", tuple([
+            tuple([(x, *sp._integrals[idx], sp._h_offsets[idx]) for x, sp in pairs])
+            for idx in (0, 1)]))
         object.__setattr__(self, "molar_mass", molar_mass)
         object.__setattr__(self, "formation_enthalpy",
                            sum(x * sp.h_formation for x, sp in pairs) / molar_mass)
@@ -208,7 +232,15 @@ def density(state: GasState) -> float:
 
 def cp_molar(composition: GasComposition, t: float) -> float:
     """Mole-fraction weighted molar cp, J/(mol K)."""
-    return sum(x * sp.cp_molar(t) for x, sp in composition.species_thermo)
+    if not T_MIN <= t <= T_MAX:  # True for nan
+        raise _range_error(t, next(iter(composition.mole_fractions)))
+    # SpeciesThermo.cp_molar's operations, summed from 0 in species order,
+    # so the result equals the per-species sum bit for bit
+    cp = 0
+    low, high = composition.cp_terms
+    for x, a1, a2, a3, a4, a5 in (high if t > T_JOINT else low):
+        cp += x * (R_UNIVERSAL * (a1 + t * (a2 + t * (a3 + t * (a4 + t * a5)))))
+    return cp
 
 
 def cp_mass(composition: GasComposition, t: float) -> float:
@@ -218,7 +250,14 @@ def cp_mass(composition: GasComposition, t: float) -> float:
 
 def sensible_enthalpy_mass(composition: GasComposition, t: float) -> float:
     """Sensible enthalpy relative to 298.15 K, J/kg."""
-    h = sum(x * sp.sensible_enthalpy_molar(t) for x, sp in composition.species_thermo)
+    if not T_MIN <= t <= T_MAX:  # True for nan
+        raise _range_error(t, next(iter(composition.mole_fractions)))
+    # as in cp_molar, with SpeciesThermo.sensible_enthalpy_molar's operations
+    h = 0
+    low, high = composition.enthalpy_terms
+    for x, a1, b2, b3, b4, a5, offset in (high if t > T_JOINT else low):
+        h += x * (R_UNIVERSAL * (t * (a1 + t * (b2 + t * (b3 + t * (b4 + t * a5 / 5))))
+                                 + offset))
     return h / composition.molar_mass
 
 

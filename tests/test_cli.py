@@ -123,6 +123,19 @@ def test_validate_bounds_grid_node_count(tmp_path, capsys, n_r, n_theta, code):
                for name in ("[bearing]", "grid_radial_nodes", "grid_angular_nodes"))
 
 
+@pytest.mark.parametrize("points, code", [
+    (config.MAX_RPM_POINTS, 0), (config.MAX_RPM_POINTS + 1, 1), (1000000000000, 1),
+])
+def test_validate_bounds_rpm_point_count(tmp_path, capsys, points, code):
+    # validation only: the operating line of 1e12 points would not fit on disk
+    cfg = tmp_path / "cfg"
+    cfg.write_text(_with("rpm_points", points))
+    assert cli.main(["validate", str(cfg)]) == code
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == code
+    assert all("[turbine] rpm_points" in line for line in errors)
+
+
 def test_validate_accepts_angular_nodes_off_multiples_of_four(tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text(_with("grid_angular_nodes", 98))

@@ -107,10 +107,12 @@ def test_preheat_monotone_in_length():
 def test_thermal_solve_shares_one_recuperator(monkeypatch):
     """Each wall update evaluates cp twice, the mixture at the film
     temperature inside _recuperator and the products at the exit
-    temperature, and the converged preheat is recuperator_preheat's."""
+    temperature, and the converged preheat is recuperator_preheat's, also
+    for a hot inlet whose wall settles below it (405.68 K under 600 K)."""
     points = [(GEOM_12, CombustorOperatingPoint(0.10e-3, 0.8)),
               (GEOM_06, CombustorOperatingPoint(0.15e-3, 0.6)),
-              (GEOM_10, CombustorOperatingPoint(0.05e-3, 0.9, 350.0))]
+              (GEOM_10, CombustorOperatingPoint(0.05e-3, 0.9, 350.0)),
+              (GEOM_12, CombustorOperatingPoint(4e-5, 0.7, 600.0))]
     for geom, op in points:
         _, t_wall, t_pre = cb._solve_thermal(geom, op)
         assert cb.stability(geom, op).stable

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -124,6 +126,15 @@ def test_out_of_range_temperature_names_species():
         gas.cp_mass(GasComposition({"N2": 1.0}), 5000.0)
 
 
+@pytest.mark.parametrize("t", [249.9, 3500.1, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("prop", [gas.cp_molar, gas.cp_mass, gas.sensible_enthalpy_mass,
+                                  gas.enthalpy_mass, gas.gamma])
+def test_every_property_rejects_temperatures_off_the_tables(prop, t):
+    # one check per call, naming the composition's first species; nan too
+    with pytest.raises(TemperatureRangeError, match="N2"):
+        prop(AIR, t)
+
+
 def test_unknown_species_lookup_error():
     with pytest.raises(UnknownSpeciesError):
         gas.cp_mass(GasComposition({"CH4": 1.0}), 300.0)
@@ -189,7 +200,9 @@ compositions = st.one_of(
 
 
 @settings(deadline=None, max_examples=300)
-@given(compositions, st.one_of(st.just(1000.0), st.floats(250.0, 3500.0)))
+@given(compositions, st.one_of(
+    st.sampled_from([gas.T_MIN, gas.T_JOINT, math.nextafter(gas.T_JOINT, math.inf), gas.T_MAX]),
+    st.floats(250.0, 3500.0)))
 def test_properties_equal_per_call_species_sums(comp, t):
     got = (comp.molar_mass, comp.formation_enthalpy, gas.cp_mass(comp, t),
            gas.sensible_enthalpy_mass(comp, t), gas.enthalpy_mass(comp, t),
