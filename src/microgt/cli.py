@@ -1,6 +1,8 @@
 """Command-line front end: validate configs, run module analyses, emit CSVs.
 
-Exit codes: 0 success, 1 validation failure, 2 solver or I/O failure.
+Exit codes: 0 success; 1 invalid input, the config or any command-line
+input (a `--sweep` included), found before any stage runs; 2 solver or I/O
+failure.
 All floats are written with a fixed %.9g format so reruns of the same
 config are byte-identical.
 """
@@ -19,7 +21,7 @@ from . import bearing as br
 from . import combustor as cb
 from . import cycle as cyc
 from . import gas, turbo
-from .config import ConfigError, DEFAULT_CONFIG, ScenarioConfig, validate
+from .config import DEFAULT_CONFIG, MAX_POINTS, ScenarioConfig, validate
 from .params import SolverError
 
 # Keys each subcommand can sweep, from its own config section; the swept
@@ -74,37 +76,39 @@ def _failed(stage: str, exc: Exception) -> int:
     return 2
 
 
-def _parse_sweep(spec: str):
-    """--sweep key=start:stop:n -> (key, [values])."""
+def _parse_sweep(spec: str, subcommand: str, config: ScenarioConfig):
+    """--sweep key=start:stop:n -> (key, values, one checked config per value).
+
+    ValueError names --sweep for `all`, a malformed spec, a key the stage
+    cannot sweep or a count outside [1, MAX_POINTS]; a value out of its
+    bound raises with_value's ConfigError, naming [section] key.
+    """
+    if subcommand == "all":
+        raise ValueError(f"--sweep needs a single subcommand: {', '.join(STAGES)}")
     key, _, rng = spec.partition("=")
-    parts = rng.split(":")
-    if not key or len(parts) != 3:
-        raise ValueError(f"sweep must look like key=start:stop:n, got {spec!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1:
-        raise ValueError("sweep point count must be >= 1")
-    return key.strip(), _points(start, stop, count)
+    key = key.strip()
+    try:
+        start, stop, count = rng.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:  # a wrong number of parts included
+        raise ValueError(f"--sweep must look like key=start:stop:n with an "
+                         f"integer n, got {spec!r}") from None
+    if key not in SWEEP_KEYS[subcommand]:
+        raise ValueError(f"--sweep key '{key}' is not a {subcommand} key; "
+                         f"options: {', '.join(SWEEP_KEYS[subcommand])}")
+    if not 1 <= count <= MAX_POINTS:
+        raise ValueError(f"--sweep point count must lie in [1, {MAX_POINTS}], got {count}")
+    values = _points(start, stop, count)
+    return key, values, [config.with_value(subcommand, key, v) for v in values]
 
 
 def _points(start, stop, count):
-    """count evenly spaced values from start to stop; [start] for count 1."""
+    """count evenly spaced values from start to stop itself; [start] for
+    count 1."""
     if count == 1:
         return [start]
     step = (stop - start) / (count - 1)
-    return [start + i * step for i in range(count)]
-
-
-def _swept(config: ScenarioConfig, section: str, sweep):
-    """One checked config per sweep value.
-
-    An unknown key raises ValueError (a run failure); a value outside the
-    key's bound raises ConfigError (invalid input).
-    """
-    key, values = sweep
-    if key not in SWEEP_KEYS[section]:
-        raise ValueError(
-            f"unknown {section} sweep key '{key}'; options: {', '.join(SWEEP_KEYS[section])}")
-    return [config.with_value(section, key, value) for value in values]
+    return [start + i * step for i in range(count - 1)] + [stop]
 
 
 def run_cycle(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
@@ -133,9 +137,9 @@ def run_cycle(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
         f"cycle: design equivalence ratio {phi:.4f}",
     ]
     if sweep:
-        key, values = sweep
+        key, values, configs = sweep
         rows = []
-        for value, swept in zip(values, _swept(config, "cycle", sweep)):
+        for value, swept in zip(values, configs):
             p, _ = cyc.run_cycle(swept.cycle_design, props)
             rows.append([value, p.net_power, p.turbine_inlet_temperature,
                          p.thermal_efficiency])
@@ -147,12 +151,9 @@ def run_combustor(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
     geometry = config.combustor_geometry
     base = config.combustor_operating_point
     chemistry = config.chemistry
-    points = [(geometry, base)]
-    if sweep:
-        points = [(c.combustor_geometry, c.combustor_operating_point)
-                  for c in _swept(config, "combustor", sweep)]
     rows = []
-    for g, op in points:
+    for c in sweep[2] if sweep else [config]:
+        g, op = c.combustor_geometry, c.combustor_operating_point
         result = cb.stability(g, op, chemistry)
         rows.append([
             op.equivalence_ratio, op.air_mass_flow * 1e3, g.chamber_height * 1e3,
@@ -184,11 +185,7 @@ def run_turbine(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
     area_out = turbo.rotor_exit_area(geom)
     fraction = t["etch_nonuniformity_fraction"]
 
-    if sweep:
-        rpms = [c.raw["turbine"]["rpm"] for c in _swept(config, "turbine", sweep)]
-    else:
-        rpms = _points(t["rpm_min"], t["rpm_max"], t["rpm_points"])
-
+    rpms = sweep[1] if sweep else _points(t["rpm_min"], t["rpm_max"], t["rpm_points"])
     rows = []
     for rpm in rpms:
         tri_in = turbo.velocity_triangle(geom.tip_radius, rpm, mdot, state,
@@ -221,9 +218,7 @@ def run_bearing(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
     top = config.bearing_face("top")
     bottom = config.bearing_face("bottom")
     n_r, n_theta = b["grid_radial_nodes"], b["grid_angular_nodes"]
-    films = [film]
-    if sweep:
-        films = [c.film_state for c in _swept(config, "bearing", sweep)]
+    films = [c.film_state for c in (sweep[2] if sweep else [config])]
 
     # the load-map and stiffness solves refine against the field solve's factor
     factor = br.JacobianFactor()
@@ -285,12 +280,9 @@ STAGES = {"cycle": run_cycle, "combustor": run_combustor,
 
 
 def run(subcommand: str, config: ScenarioConfig, out_dir: Path, sweep=None) -> int:
-    """Execute one subcommand; writes files only after every solve succeeded
-    and every table it made is finite."""
-    if sweep and subcommand == "all":
-        print(f"error: --sweep needs a single subcommand: {', '.join(STAGES)}",
-              file=sys.stderr)
-        return 2
+    """Execute one subcommand, with the (key, values, configs) of a checked
+    sweep if any; writes files only after every solve succeeded and every
+    table it made is finite."""
     bundle = ReportBundle(tables={}, summary=[], warnings=[])
     for stage in STAGES if subcommand == "all" else [subcommand]:
         made = len(bundle.tables)
@@ -300,8 +292,6 @@ def run(subcommand: str, config: ScenarioConfig, out_dir: Path, sweep=None) -> i
                 for column, values in zip(header, zip(*rows)):
                     if not all(math.isfinite(v) for v in values if isinstance(v, float)):
                         raise ArithmeticError(f"{name}: {column} not finite")
-        except ConfigError as exc:
-            return _invalid(exc)
         except (SolverError, ValueError, ArithmeticError) as exc:
             return _failed(stage, exc)  # gas.RichMixtureError is a ValueError
 
@@ -311,24 +301,19 @@ def run(subcommand: str, config: ScenarioConfig, out_dir: Path, sweep=None) -> i
         bundle.summary.append(
             f"cross-check: cycle flows give combustor phi = {phi:.4f}")
 
+    lines = ([f"config_hash: {config.config_hash}"] + bundle.summary
+             + [f"warning: {w}" for w in bundle.warnings])
+    files = {name: _csv(header, rows) for name, (header, rows) in sorted(bundle.tables.items())}
+    files["summary.txt"] = "\n".join(lines) + "\n"
+    written = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        written = []
-        try:
-            for name, (header, rows) in sorted(bundle.tables.items()):
-                path = out_dir / name
-                path.write_text(_csv(header, rows))
-                written.append(path)
-            summary = out_dir / "summary.txt"
-            lines = ([f"config_hash: {config.config_hash}"] + bundle.summary
-                     + [f"warning: {w}" for w in bundle.warnings])
-            summary.write_text("\n".join(lines) + "\n")
-            written.append(summary)
-        except OSError:
-            for path in written:
-                path.unlink(missing_ok=True)
-            raise
+        for name, text in files.items():
+            (out_dir / name).write_text(text)
+            written.append(out_dir / name)
     except OSError as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
 
@@ -372,7 +357,7 @@ def main(argv=None) -> int:
         return 1
     try:
         config = validate(text)
-        sweep = _parse_sweep(args.sweep) if args.sweep else None
+        sweep = _parse_sweep(args.sweep, args.subcommand, config) if args.sweep else None
     except ValueError as exc:  # ConfigError included
         return _invalid(exc)
     except ArithmeticError as exc:  # e.g. a rotor weight beyond float range

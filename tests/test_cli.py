@@ -124,7 +124,7 @@ def test_validate_bounds_grid_node_count(tmp_path, capsys, n_r, n_theta, code):
 
 
 @pytest.mark.parametrize("points, code", [
-    (config.MAX_RPM_POINTS, 0), (config.MAX_RPM_POINTS + 1, 1), (1000000000000, 1),
+    (config.MAX_POINTS, 0), (config.MAX_POINTS + 1, 1), (1000000000000, 1),
 ])
 def test_validate_bounds_rpm_point_count(tmp_path, capsys, points, code):
     # validation only: the operating line of 1e12 points would not fit on disk
@@ -307,7 +307,35 @@ def test_run_rejects_bad_sweep(tmp_path):
     assert cli.main(["run", "combustor", "--out", str(out),
                      "--sweep", "nonsense"]) == 1
     assert cli.main(["run", "combustor", "--out", str(out),
-                     "--sweep", "bogus_key=1:2:3"]) == 2
+                     "--sweep", "bogus_key=1:2:3"]) == 1
+
+
+@pytest.mark.parametrize("subcommand, spec", [
+    ("turbine", "rpm=1:2:1.5"), ("turbine", "rpm=a:2:3"), ("turbine", "rpm=1:2"),
+    ("turbine", "rpm=1:2:3:4"), ("turbine", "=1:2:3"), ("turbine", "bogus=1:2:3"),
+    ("turbine", "rpm=1:2:0"), ("turbine", f"rpm=1:2:{config.MAX_POINTS + 1}"),
+    ("turbine", "rpm=1:2:1000000000000"), ("all", "rpm=1:2:3"),
+])
+def test_run_rejects_invalid_sweep_before_any_stage(tmp_path, capsys, monkeypatch,
+                                                    subcommand, spec):
+    ran = []
+    for stage in cli.STAGES:
+        monkeypatch.setitem(cli.STAGES, stage, lambda *args, stage=stage: ran.append(stage))
+    out = tmp_path / "out"
+    assert cli.main(["run", subcommand, "--out", str(out), "--sweep", spec]) == 1
+    printed = capsys.readouterr()
+    assert printed.err.startswith("invalid:") and "--sweep" in printed.err
+    assert printed.out == "" and ran == []
+    assert not out.exists()
+
+
+def test_run_sweep_ends_on_stop(tmp_path):
+    # 0.1 + 7 * (0.9 / 7) rounds to one ulp above 1, outside equivalence_ratio's [0, 1]
+    out = tmp_path / "out"
+    assert cli.main(["run", "combustor", "--out", str(out),
+                     "--sweep", "equivalence_ratio=0.1:1:8"]) == 0
+    rows = (out / "combustor.csv").read_text().splitlines()
+    assert len(rows) == 9 and rows[-1].split(",")[0] == "1"
 
 
 def test_run_unwritable_output(tmp_path):
@@ -380,7 +408,7 @@ def test_run_reports_arithmetic_failure_with_exit_2(tmp_path, capsys, key, value
 def test_run_all_rejects_sweep(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", "all", "--out", str(out),
-                     "--sweep", "bogus_key=1:2:3"]) == 2
+                     "--sweep", "bogus_key=1:2:3"]) == 1
     err = capsys.readouterr().err
     assert all(name in err for name in ("cycle", "combustor", "turbine", "bearing"))
     assert not out.exists()

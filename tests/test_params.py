@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from microgt import bearing as br
 from microgt import cli
 from microgt import combustor as cb
 from microgt import cycle as cyc
@@ -174,7 +175,8 @@ def test_cycle_energy_closure(pressure_ratio, air, phi, eta_c, eta_t, eta_b, eta
 
 
 # Sections whose keys the contract test draws, each with the stage that
-# reads it.  Bearing keys are left out: one bearing run costs seconds.
+# reads it.  Bearing keys have a test of their own: one bearing run costs
+# seconds.
 CONTRACT_STAGES = {"ambient": "cycle", "properties": "cycle", "cycle": "cycle",
                    "combustor": "combustor", "calibration": "combustor",
                    "turbine": "turbine"}
@@ -184,20 +186,24 @@ DEFAULT_SCENARIO = default_config()
 
 
 def _drawn_value(p: Param):
-    """A value of p: an end of its bound (inf included), or a value inside,
-    uniform when both ends are finite, else log-uniform in its distance
-    from the lower end over 1e-15 to 1e15.  Integers reach 1000 above it.
-    Every bound of the drawn sections has a finite lower end."""
+    """A value of p: an end of its bound (inf included), 'auto' where p
+    allows it, or a value inside: uniform when both ends are finite, else
+    log-uniform over 1e-15 to 1e15 in its distance from the lower end, or
+    in its magnitude, of either sign, when that end is -inf.  Integers reach
+    1000 above their lower end."""
     if p.choices:
         return st.sampled_from(p.choices)
     lo, hi, _, _ = p.interval
     if p.kind == "int":
         inside = st.floats(0.0, 3.0).map(lambda x: int(lo) + int(10.0 ** x))
+    elif not math.isfinite(lo):
+        inside = st.builds(lambda sign, x: sign * 10.0 ** x,
+                           st.sampled_from([-1.0, 1.0]), st.floats(-15.0, 15.0))
     elif math.isfinite(hi):
         inside = st.floats(lo, hi)
     else:
         inside = st.floats(-15.0, 15.0).map(lambda x: lo + 10.0 ** x)
-    return st.one_of(st.sampled_from([lo, hi]), inside)
+    return st.one_of(st.sampled_from([lo, hi] + (["auto"] if p.auto else [])), inside)
 
 
 def _csv_floats(out: Path):
@@ -240,3 +246,48 @@ def test_every_drawn_input_is_rejected_or_solved_or_reported(data):
         else:
             assert code == 2 and err.startswith(f"error: {stage}:"), (code, err)
             assert not out.exists()
+
+
+# Every [bearing] key but the grid, which the bearing contract test fixes
+# at the 33x64 of the axial equilibrium.
+BEARING_KEYS = [(key, p) for section, key, p, *_ in _declarations()
+                if section == "bearing" and key
+                and key not in ("grid_radial_nodes", "grid_angular_nodes")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_drawn_bearing_input_is_rejected_or_solved_or_reported(data):
+    """The input contract of the bearing keys, on one 33x64 solve per face:
+    a ConfigError naming the key, a load, or a SolverError or
+    ArithmeticError.  `run bearing` exits 2 on the last two and on a load
+    that is not finite."""
+    key, p = data.draw(st.sampled_from(BEARING_KEYS), label="key")
+    value = data.draw(_drawn_value(p), label="value")
+    try:
+        scenario = DEFAULT_SCENARIO.with_value("bearing", key, value)
+    except ConfigError as exc:
+        event("rejected")
+        assert all("[bearing]" in e for e in exc.errors) and key in str(exc), exc.errors
+        return
+    for face in ("top", "bottom"):
+        try:
+            field = br.solve_reynolds(scenario.bearing_face(face), scenario.film_state, 33, 64)
+            load = br.load_capacity(field)
+        except (SolverError, ArithmeticError) as exc:
+            event(type(exc).__name__)
+            continue
+        event("finite load" if math.isfinite(load) else "load not finite")
+        assert isinstance(load, float)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("key, value", [("nominal_clearance_m", 1e-300),
+                                        ("outer_radius_m", 1e300)])
+def test_run_bearing_reports_arithmetic_failure_with_exit_2(tmp_path, capsys, key, value):
+    cfg, out = tmp_path / "cfg", tmp_path / "out"
+    cfg.write_text(_with_value(DEFAULT_CONFIG, "bearing", key, value))
+    assert cli.main(["run", "bearing", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: bearing: ")
+    assert not out.exists()
