@@ -19,8 +19,11 @@ Groove edges are v = const lines; across each v-face the land/groove
 segments compose exactly: Poiseuille conductance in series, sum(L/h^3), and
 the Couette drive weighted by sum(L/h^2)/sum(L/h^3) - the flux-conserving
 (harmonic) treatment of the step film.  On grids whose angular count is a
-multiple of four times the groove count the edges coincide with faces, the
-coefficients are exact, and the observed convergence is second order.
+multiple of four times the groove count the edges coincide with faces and
+the coefficients are exact.  Yet the load converges at first order in
+theta (successive-difference ratios 1.92, 1.88, 1.92 from n_theta = 96 to
+1536 at n_r = 65) and pre-asymptotically at second order in r; ROADMAP.md
+item 6 tracks the first-order term.
 The nonlinear system (the Couette term carries sqrt(q)) is solved by damped
 Newton iteration.  The sparse Jacobian comes from colored finite differences
 (Curtis, Powell and Reid, 1974): rows take five colours and the periodic
@@ -63,7 +66,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .gas import AIR_VISCOSITY
-from .params import SolverError, check, param
+from .params import Record, SolverError, param
 
 MIN_RADIAL_NODES = 33  # 32 radial intervals
 MIN_ANGULAR_NODES = 64
@@ -75,6 +78,7 @@ MAX_VERIFIED_LAMBDA = 30.0
 MIN_STRIPE_CELLS = 1.0
 NEWTON_TOLERANCE = 1.0e-9  # see solve_reynolds
 NEWTON_MAX_ITERATIONS = 60
+NEWTON_STALL_ITERATIONS = 3  # see solve_reynolds
 EQUILIBRIUM_GRID = (33, 64)  # (n_r, n_theta) of every axial_equilibrium solve
 # Grid cells per batch of perturbed fields in the colour sweep: 2**15 float64
 # cells keep each temporary near 256 KB, in cache.  Larger blocks raised the
@@ -93,7 +97,7 @@ class NoEquilibriumError(SolverError):
 
 
 @dataclass(frozen=True)
-class SpiralGrooveBearing:
+class SpiralGrooveBearing(Record):
     """Spiral-groove thrust face geometry.
 
     Only the groove depths are reported for the hardware (15 um top, 36 um
@@ -112,21 +116,18 @@ class SpiralGrooveBearing:
     pump_direction: str = param(None, "pump-in", "pump-in | pump-out")
 
     def __post_init__(self):
-        check(self)
+        super().__post_init__()
         if not self.outer_radius > self.inner_radius:
             raise ValueError("outer_radius_m must exceed inner_radius_m")
 
 
 @dataclass(frozen=True)
-class FilmState:
+class FilmState(Record):
     nominal_clearance: float = param("nominal_clearance_m", 5.0e-6, "(0, inf)")
     # signed: a negative speed reverses the rotation
     rpm: float = param("rpm", 15000.0)
     ambient_pressure: float = param("ambient_pressure_pa", 101325.0, "(0, inf)")
     viscosity: float = param("viscosity_pa_s", AIR_VISCOSITY, "(0, inf)")
-
-    def __post_init__(self):
-        check(self)
 
     @property
     def omega(self) -> float:
@@ -534,7 +535,9 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
     Newton iteration drives every node's residual below NEWTON_TOLERANCE
     relative to the magnitude of that node's flux terms; steps are halved
     while they push the squared pressure below (0.1 ambient)^2 or fail to
-    reduce the residual norm.
+    reduce the residual norm.  A solve whose max scaled residual sets no new
+    minimum in NEWTON_STALL_ITERATIONS iterations raises SolverError; every
+    converging solve sets one at each step.
 
     Each Newton step solves against its own Jacobian, by refinement with
     the factor held in `factor` or, when that does not converge, by
@@ -572,6 +575,8 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
         history.append(res)
         if res < NEWTON_TOLERANCE:
             break
+        if iteration - history.index(min(history)) >= NEWTON_STALL_ITERATIONS:
+            raise SolverError(f"residual stopped falling at iteration {iteration}", history)
         try:
             step = _newton_step(_jacobian(co, terms, f), -f.ravel(), factor
                                 ).reshape(f.shape)

@@ -104,11 +104,11 @@ def _parse_sweep(spec: str, subcommand: str, config: ScenarioConfig):
 
 def _points(start, stop, count):
     """count evenly spaced values from start to stop itself; [start] for
-    count 1."""
+    count 1.  Interpolated, so finite ends never overflow."""
     if count == 1:
         return [start]
-    step = (stop - start) / (count - 1)
-    return [start + i * step for i in range(count - 1)] + [stop]
+    fractions = [i / (count - 1) for i in range(count - 1)]
+    return [start * (1 - t) + stop * t for t in fractions] + [stop]
 
 
 def run_cycle(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
@@ -360,8 +360,6 @@ def main(argv=None) -> int:
         sweep = _parse_sweep(args.sweep, args.subcommand, config) if args.sweep else None
     except ValueError as exc:  # ConfigError included
         return _invalid(exc)
-    except ArithmeticError as exc:  # e.g. a rotor weight beyond float range
-        return _failed("config", exc)
     if args.command == "validate":
         print("ok")
         return 0

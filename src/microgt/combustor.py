@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from . import gas
-from .params import SolverError, bracketed_root, check, param
+from .params import Record, SolverError, bracketed_root, param
 
 # Transport surrogate: power-law viscosity with constant Prandtl number.
 PRANDTL = 0.70
@@ -33,13 +33,14 @@ VISCOSITY_EXPONENT = 0.7
 NU_CHANNEL = 7.54  # laminar parallel-plate value, used for the recuperator
 INTERIOR_EFFECTIVENESS = 0.90  # fraction of capacity flux equilibrating with the wall
 AMBIENT_TEMPERATURE = 300.0  # K, heat-loss sink
+T_PRODUCTS_MAX = 3400.0  # K, upper end of every products-temperature root
 
 # Scan grid used to locate the lean-blowout mass flow, kg/s.
 BLOWOUT_SCAN_FLOWS = tuple(0.01e-3 + 0.0025e-3 * i for i in range(77))
 
 
 @dataclass(frozen=True)
-class CombustorGeometry:
+class CombustorGeometry(Record):
     """Annular chamber plus hairpin recirculation channel dimensions.
 
     The annulus radii, channel dimensions and the lumped wall conductance are
@@ -62,7 +63,7 @@ class CombustorGeometry:
     wall_thermal_conductance: float = param("wall_conductance_w_per_k", 0.56, "[0, inf)")
 
     def __post_init__(self):
-        check(self)
+        super().__post_init__()
         if not self.annulus_outer_radius > self.annulus_inner_radius:
             raise ValueError("annulus_outer_radius_m must exceed annulus_inner_radius_m")
 
@@ -74,14 +75,11 @@ class CombustorGeometry:
 
 
 @dataclass(frozen=True)
-class CombustorOperatingPoint:
+class CombustorOperatingPoint(Record):
     air_mass_flow: float = param("air_mass_flow_kg_s", 0.15e-3, "(0, inf)")
     equivalence_ratio: float = param("equivalence_ratio", 0.8, "[0, 1]")
     inlet_temperature: float = param("inlet_temperature_k", 300.0, "(0, inf)")
     inlet_pressure: float = param("inlet_pressure_pa", 101325.0, "(0, inf)")
-
-    def __post_init__(self):
-        check(self)
 
     @property
     def fuel_mass_flow(self) -> float:
@@ -93,7 +91,7 @@ class CombustorOperatingPoint:
 
 
 @dataclass(frozen=True)
-class ChemicalTimeModel:
+class ChemicalTimeModel(Record):
     """Arrhenius chemical-time correlation constants.
 
     The defaults are the frozen calibration of tests/calibration_fixture.py.
@@ -104,9 +102,6 @@ class ChemicalTimeModel:
     phi_exponent: float = param("chem_phi_exponent", 1.0, "(0, inf)")
     pressure_exponent: float = param("chem_pressure_exponent", 1.0, "[0, inf)")
     da_critical: float = param("damkohler_critical", 1.0, "(0, inf)")
-
-    def __post_init__(self):
-        check(self)
 
 
 DEFAULT_CHEMISTRY = ChemicalTimeModel()
@@ -127,11 +122,18 @@ def viscosity(t: float) -> float:
     return gas.AIR_VISCOSITY * (t / 300.0) ** VISCOSITY_EXPONENT
 
 
+def _products_temperature(products, target: float, what: str) -> float:
+    """Temperature at which the products' total enthalpy is target (J/kg),
+    bracketed by [gas.T_MIN, T_PRODUCTS_MAX]; SolverError names `what`."""
+    return bracketed_root(lambda t: gas.enthalpy_mass(products, t) - target,
+                          gas.T_MIN, T_PRODUCTS_MAX, what)
+
+
 def adiabatic_flame_temperature(phi: float, inlet_temperature: float) -> float:
     """Complete-combustion flame temperature of a premixed H2-air stream.
 
     Solves h(products, T) = h(mixture, T_in) on total enthalpies, with the
-    root bracketed by [250 K, 3400 K].
+    root bracketed by [gas.T_MIN, T_PRODUCTS_MAX].
     Without dissociation the result runs above equilibrium values near
     stoichiometric (by roughly 100 K at phi = 1).
     """
@@ -139,9 +141,8 @@ def adiabatic_flame_temperature(phi: float, inlet_temperature: float) -> float:
     products = gas.burned_composition(phi)  # RichMixtureError above 1
     if phi == 0.0:
         return inlet_temperature
-    target = gas.enthalpy_mass(mixture, inlet_temperature)
-    return bracketed_root(lambda t: gas.enthalpy_mass(products, t) - target,
-                          gas.T_MIN, 3400.0, "adiabatic flame temperature")
+    return _products_temperature(products, gas.enthalpy_mass(mixture, inlet_temperature),
+                                 "adiabatic flame temperature")
 
 
 def _recuperator(geometry: CombustorGeometry, mixture, mdot: float,
@@ -227,13 +228,8 @@ def _solve_thermal(geometry: CombustorGeometry, op: CombustorOperatingPoint):
     def exit_target(t_w):
         return h_in - g_loss * (t_w - AMBIENT_TEMPERATURE) / mdot
 
-    def exit_for_wall(t_w):
-        target = exit_target(t_w)
-        return bracketed_root(lambda t: gas.enthalpy_mass(products, t) - target,
-                              gas.T_MIN, 3400.0, "combustor exit temperature")
-
     def wall_update(t_w):
-        t_e = exit_for_wall(t_w)
+        t_e = _products_temperature(products, exit_target(t_w), "combustor exit temperature")
         eps, capacity = _recuperator(geometry, mixture, mdot, t_in, t_w)
         g_int = INTERIOR_EFFECTIVENESS * mdot * gas.cp_mass(products, t_e)
         k_rec = capacity * eps

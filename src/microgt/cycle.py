@@ -12,11 +12,11 @@ from dataclasses import dataclass, replace
 
 from . import gas
 from .gas import AIR, GasState
-from .params import bracketed_root, check, param
+from .params import Record, bracketed_root, param
 
 
 @dataclass(frozen=True)
-class CycleDesignPoint:
+class CycleDesignPoint(Record):
     """Engine design parameters; defaults are the micro-engine targets."""
 
     ambient: GasState = GasState(AIR, 300.0, 101325.0)
@@ -30,9 +30,6 @@ class CycleDesignPoint:
     sigma_combustor: float = param("sigma_combustor", 0.92, "(0, 1]")
     eta_mechanical: float = param("eta_mechanical", 1.0, "(0, 1]")
     fuel_lhv: float = param("fuel_lhv_j_per_kg", 120.0e6, "(0, inf)")  # J/kg
-
-    def __post_init__(self):
-        check(self)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .params import check, param
+from .params import Record, param
 
 R_UNIVERSAL = 8.314462618  # J/(mol K)
 T_REFERENCE = 298.15  # K, sensible-enthalpy datum
@@ -209,15 +209,12 @@ PURE_H2 = GasComposition({"H2": 1.0})
 
 
 @dataclass(frozen=True)
-class GasState:
+class GasState(Record):
     """Composition plus static temperature (K) and pressure (Pa)."""
 
     composition: GasComposition
     temperature: float = param(None, bound="(0, inf)")  # K
     pressure: float = param(None, bound="(0, inf)")  # Pa
-
-    def __post_init__(self):
-        check(self)
 
 
 def specific_gas_constant(composition: GasComposition) -> float:
@@ -323,7 +320,7 @@ def unburned_mixture(phi: float) -> GasComposition:
 
 
 @dataclass(frozen=True)
-class ConstantCpGas:
+class ConstantCpGas(Record):
     """Constant-property model: user-fixed cp (J/kg K) and gamma.
 
     The implied gas constant is cp * (gamma - 1) / gamma, so isentropic
@@ -334,9 +331,6 @@ class ConstantCpGas:
 
     cp: float = param("constant_cp_j_per_kg_k", 1005.0, "(0, inf)")
     gamma_value: float = param("constant_gamma", 1.4, "(1, 5/3]")
-
-    def __post_init__(self):
-        check(self)
 
     def cp_mass(self, composition, t):
         return self.cp

@@ -2,8 +2,9 @@
 the one solver failure.
 
 A dataclass field made with param() carries its config key, its default and
-its allowed values; check() enforces them from __post_init__, and the config
-module derives its schema and default text from the same declarations.
+its allowed values.  A dataclass that derives from Record checks each such
+field against its bound when it is built, and the config module derives its
+schema and default text from the same declarations.
 """
 
 from __future__ import annotations
@@ -116,13 +117,17 @@ def declared(cls):
                  if "param" in f.metadata)
 
 
-def check(obj):
-    """Raise ValueError if any param() field of obj is outside its bound."""
-    for name, p in declared(type(obj)):
-        value = getattr(obj, name)
-        problem = p.problem(value)
-        if problem:
-            raise ValueError(f"{type(obj).__name__}.{name} = {value!r}: {problem}")
+class Record:
+    """Base of the dataclasses with param() fields: building one raises
+    ValueError if any such field is outside its bound.  A record with a rule
+    of its own extends __post_init__ and calls this one first."""
+
+    def __post_init__(self):
+        for name, p in declared(type(self)):
+            value = getattr(self, name)
+            problem = p.problem(value)
+            if problem:
+                raise ValueError(f"{type(self).__name__}.{name} = {value!r}: {problem}")
 
 
 def bracketed_root(f, lo, hi, what):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import gas
 from .gas import GasState
-from .params import check, param
+from .params import Record, param
 
 SILICON_DENSITY = 2330.0  # kg/m^3
 BLOCKAGE_FACTOR = 0.9  # flow-area fraction left open by blade thickness
@@ -23,7 +23,7 @@ GRAVITY = 9.80665  # m/s^2
 
 
 @dataclass(frozen=True)
-class RotorGeometry:
+class RotorGeometry(Record):
     outer_diameter: float = param("outer_diameter_m", 8.2e-3, "(0, inf)")
     inner_diameter: float = param("inner_diameter_m", 4.4e-3, "(0, inf)")
     # half of the 0.8 mm wafer
@@ -33,7 +33,7 @@ class RotorGeometry:
     inlet_blade_angle: float = param("inlet_blade_angle_deg", 68.6, "(-90, 90)")
 
     def __post_init__(self):
-        check(self)
+        super().__post_init__()
         if not self.outer_diameter > self.inner_diameter:
             raise ValueError("outer_diameter_m must exceed inner_diameter_m")
         try:  # the weight is the bearing's default external axial load
@@ -68,12 +68,9 @@ class RotorGeometry:
 
 
 @dataclass(frozen=True)
-class StatorGeometry:
+class StatorGeometry(Record):
     # deg from radial
     exit_flow_angle: float = param("stator_exit_angle_deg", 70.0, "(0, 89)")
-
-    def __post_init__(self):
-        check(self)
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,20 @@ def test_solver_rejects_coarse_grids():
         br.solve_reynolds(BEARING, FILM, 33, 32)
 
 
+@pytest.mark.parametrize("face", ["top", "bottom"])
+def test_newton_gives_up_once_the_residual_stops_falling(face):
+    # at this viscosity the max scaled residual rises from the first step on;
+    # without the stall rule the top face failed after 16 iterations and the
+    # bottom face after 60
+    config = default_config()
+    film = replace(config.film_state, viscosity=3e9)
+    with pytest.raises(br.SolverError, match="residual stopped falling") as info:
+        br.solve_reynolds(config.bearing_face(face), film, 33, 64)
+    history = info.value.residual_history
+    assert len(history) <= 5
+    assert min(history) == history[0]
+
+
 def test_geometry_validation():
     with pytest.raises(ValueError):
         SpiralGrooveBearing(inner_radius=3.0e-3)

@@ -338,6 +338,83 @@ def test_run_sweep_ends_on_stop(tmp_path):
     assert len(rows) == 9 and rows[-1].split(",")[0] == "1"
 
 
+def test_sweep_points_between_ends_near_the_float_limit():
+    key, values, configs = cli._parse_sweep("rpm=-1e308:1e308:3", "bearing",
+                                            default_config())
+    assert key == "rpm" and values == [-1e308, 0.0, 1e308]
+    assert [c.film_state.rpm for c in configs] == values
+
+
+def test_run_sweep_of_one_point_runs_start(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["run", "combustor", "--out", str(out),
+                     "--sweep", "equivalence_ratio=0.6:0.9:1"]) == 0
+    header, *rows = (out / "combustor.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows] == ["0.6"]
+
+
+def test_run_cycle_sweep_rows_are_cycle_runs(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["run", "cycle", "--out", str(out),
+                     "--sweep", "pressure_ratio=3:5:3"]) == 0
+    design = default_config().cycle_design
+    rows = []
+    for ratio in (3.0, 4.0, 5.0):
+        perf, _ = cycle.run_cycle(replace(design, pressure_ratio=ratio))
+        rows.append([ratio, perf.net_power, perf.turbine_inlet_temperature,
+                     perf.thermal_efficiency])
+    assert (out / "cycle_sweep.csv").read_text() == cli._csv(
+        ["pressure_ratio", "net_power_W", "TIT_K", "thermal_efficiency"], rows)
+
+
+def test_run_turbine_sweep_is_the_operating_line_of_its_range(tmp_path):
+    swept, line = tmp_path / "swept", tmp_path / "line"
+    assert cli.main(["run", "turbine", "--out", str(swept),
+                     "--sweep", "rpm=10000:20000:3"]) == 0
+    cfg = tmp_path / "cfg"
+    cfg.write_text(DEFAULT_CONFIG.replace("rpm_min = 5000.0", "rpm_min = 10000.0")
+                   .replace("rpm_max = 30000.0", "rpm_max = 20000.0")
+                   .replace("rpm_points = 11", "rpm_points = 3"))
+    assert cli.main(["run", "turbine", "--config", str(cfg), "--out", str(line)]) == 0
+    text = (swept / "operating_line.csv").read_text()
+    assert [r.split(",")[0] for r in text.splitlines()[1:]] == ["10000", "15000", "20000"]
+    assert text == (line / "operating_line.csv").read_text()
+
+
+def test_run_bearing_sweep_solves_each_film(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(DEFAULT_CONFIG.replace("grid_radial_nodes = 65", "grid_radial_nodes = 33")
+                   .replace("grid_angular_nodes = 96", "grid_angular_nodes = 64"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "bearing", "--config", str(cfg), "--out", str(out),
+                     "--sweep", "nominal_clearance_m=5e-6:7e-6:3"]) == 0
+    top, film = default_config().bearing_face("top"), default_config().film_state
+    _, *rows = (out / "loadmap.csv").read_text().splitlines()
+    assert len(rows) == 3
+    for row, clearance in zip(rows, (5e-6, 6e-6, 7e-6)):
+        f = replace(film, nominal_clearance=clearance)
+        expected = [clearance, film.rpm, br.solve_load(top, f, 33, 64),
+                    br.axial_stiffness(top, f, 33, 64)]
+        assert [float(v) for v in row.split(",")] == pytest.approx(
+            expected, rel=1e-8, abs=0.0)
+
+
+def test_run_rejects_unreadable_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "cycle", "--config", str(tmp_path / "missing.cfg"),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_run_write_failure_removes_written_files(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "summary.txt").mkdir(parents=True)  # written last, after the CSVs
+    assert cli.main(["run", "cycle", "--out", str(out)]) == 2
+    assert "cannot write outputs" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["summary.txt"]
+
+
 def test_run_unwritable_output(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")

@@ -1,6 +1,9 @@
 import contextlib
+import dataclasses
 import io
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,9 +14,9 @@ from microgt import bearing as br
 from microgt import cli
 from microgt import combustor as cb
 from microgt import cycle as cyc
-from microgt import gas
+from microgt import gas, turbo
 from microgt.config import DEFAULT_CONFIG, SECTIONS, ConfigError, default_config, validate
-from microgt.params import Param, SolverError, bracketed_root, declared
+from microgt.params import Param, Record, SolverError, bracketed_root, declared
 
 
 def _declarations():
@@ -80,6 +83,13 @@ def test_value_outside_bound_is_rejected(section, key, p, cls, name, value):
     if cls is not None:
         with pytest.raises(ValueError, match=name):
             cls(**{name: value})
+
+
+def test_every_dataclass_with_declared_fields_is_a_record():
+    records = {obj for module in (br, cb, cyc, gas, turbo) for obj in vars(module).values()
+               if dataclasses.is_dataclass(obj) and isinstance(obj, type) and declared(obj)}
+    assert len(records) == 10
+    assert all(issubclass(cls, Record) for cls in records)
 
 
 def test_default_config_equals_field_defaults():
@@ -291,3 +301,31 @@ def test_run_bearing_reports_arithmetic_failure_with_exit_2(tmp_path, capsys, ke
     assert cli.main(["run", "bearing", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: bearing: ")
     assert not out.exists()
+
+
+PROBE = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_leaves_later_tests_reported(tmp_path):
+    """Under the repository's pytest settings a failing @given test is
+    reported like any other failure, and the tests after it still run."""
+    (tmp_path / "test_probe.py").write_text(PROBE)
+    settings_file = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(settings_file), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert run.returncode == 1
+    assert "1 failed, 1 passed" in run.stdout.splitlines()[-1]
