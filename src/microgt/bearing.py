@@ -46,7 +46,8 @@ is solved against its own Jacobian by iterative refinement with a held
 factor (Moler, 1967), to 1e-12 of the step, and factors afresh only when
 the corrections stop contracting.  A JacobianFactor carries the factor
 across the neighbouring clearances of axial_stiffness and
-axial_equilibrium.
+axial_equilibrium.  scipy is imported only where a Jacobian is built or
+factored, so a process that solves no Reynolds equation never loads it.
 
 The narrow-groove (infinite-groove-number) reference evaluates the
 classical effective-medium solution in the incompressible limit and serves
@@ -62,8 +63,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from .gas import AIR_VISCOSITY
 from .params import Record, SolverError, param
@@ -241,6 +240,13 @@ def _jacobian_pattern(n_rows: int, n_theta: int):
     for array in (masks, gather, indices, indptr):
         array.flags.writeable = False
     return masks, gather, indices, indptr
+
+
+def splu(jac, **options):
+    """scipy.sparse.linalg.splu, imported on its first call: scipy is most
+    of a process's start-up time, and only a Reynolds solve needs it."""
+    from scipy.sparse.linalg import splu as superlu
+    return superlu(jac, **options)
 
 
 class JacobianFactor:
@@ -514,6 +520,7 @@ def _jacobian(co: _Coefficients, terms, base):
     """Colored finite-difference Jacobian of the residual at the full field
     q, whose row terms (_row_terms) are terms and residual is base; CSC
     without explicit zeros."""
+    from scipy.sparse import csc_matrix
     n_r, n_theta = terms[0].shape
     masks, gather, indices, indptr = _jacobian_pattern(n_r - 2, n_theta)
     delta = _colour_differences(co, terms, base, masks)
@@ -537,7 +544,9 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
     while they push the squared pressure below (0.1 ambient)^2 or fail to
     reduce the residual norm.  A solve whose max scaled residual sets no new
     minimum in NEWTON_STALL_ITERATIONS iterations raises SolverError; every
-    converging solve sets one at each step.
+    converging solve sets one at each step.  So does a film whose starting
+    residual is not finite, such as one whose compressibility number
+    overflows, before any factorisation.
 
     Each Newton step solves against its own Jacobian, by refinement with
     the factor held in `factor` or, when that does not converge, by
@@ -554,21 +563,30 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
     du, dv, s, lam, e_cell, s3 = co.du, co.dv, co.s, co.lam, co.e_cell, co.s3
     one_plus_s2 = 1.0 + s * s
 
-    # Per-node magnitude of the flux terms, the yardstick of convergence.
-    couette = (co.inv_h2_left + co.inv_h2_right) / s3
-    scale = (2.0 * dv * co.d_col[None, :] / (one_plus_s2 * du)
-             + 2.0 * dv * abs(s) / one_plus_s2
-             * (1.0 + abs(lam) * e_cell[:, None] / du * co.h_col[None, :])
-             + du * one_plus_s2 * (1.0 / s3 + 1.0 / np.roll(s3, -1))[None, :]
-             + abs(lam) * e_cell[:, None] * (couette + np.roll(couette, -1))[None, :]
-             + 0.5 * abs(s) * dv
-             * (1.0 / s3 + 1.0 / np.roll(s3, -1))[None, :])
+    # A film beyond float range overflows the flux scale or the starting
+    # residual.  The test after this block raises for it, before any
+    # factorisation, so numpy's warnings would only repeat it.  Every later
+    # residual is a line-search trial whose norm fell, so it is finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Per-node magnitude of the flux terms, the yardstick of convergence.
+        couette = (co.inv_h2_left + co.inv_h2_right) / s3
+        scale = (2.0 * dv * co.d_col[None, :] / (one_plus_s2 * du)
+                 + 2.0 * dv * abs(s) / one_plus_s2
+                 * (1.0 + abs(lam) * e_cell[:, None] / du * co.h_col[None, :])
+                 + du * one_plus_s2 * (1.0 / s3 + 1.0 / np.roll(s3, -1))[None, :]
+                 + abs(lam) * e_cell[:, None] * (couette + np.roll(couette, -1))[None, :]
+                 + 0.5 * abs(s) * dv
+                 * (1.0 / s3 + 1.0 / np.roll(s3, -1))[None, :])
+        q = np.ones((n_r, n_theta))  # the boundary rows stay at ambient
+        terms = _row_terms(co, q)
+        f = _cross_rows(co, terms)
+    if not (np.isfinite(scale).all() and np.isfinite(f).all()):
+        raise SolverError(
+            "residual not finite at iteration 0 (compressibility number "
+            f"{compressibility_number(bearing, film):.3e})")
 
     if factor is None:
         factor = JacobianFactor()
-    q = np.ones((n_r, n_theta))  # the boundary rows stay at ambient
-    terms = _row_terms(co, q)
-    f = _cross_rows(co, terms)
     history = []
     for iteration in range(NEWTON_MAX_ITERATIONS):
         res = float(np.max(np.abs(f) / scale))

@@ -16,13 +16,20 @@ preheated-mixture temperature.  The chemical-time constants and the wall
 conductance are calibration parameters; the shipped defaults were frozen
 from the grid-search procedure in tests/calibration_fixture.py.
 
+The products of each equivalence ratio, and their total enthalpies at the
+two ends of the products-temperature bracket, are built once per phi
+(_products, a bounded LRU cache), so the dozens of exit-temperature roots
+of one point, and the points of one blow-out scan, share them.
+
 No dissociation, no spatial resolution, ideal-gas mixtures throughout.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import gas
 from .params import Record, SolverError, bracketed_root, param
@@ -122,11 +129,29 @@ def viscosity(t: float) -> float:
     return gas.AIR_VISCOSITY * (t / 300.0) ** VISCOSITY_EXPONENT
 
 
-def _products_temperature(products, target: float, what: str) -> float:
+class _Products(NamedTuple):
+    """Complete-combustion products of one equivalence ratio and their total
+    enthalpies (J/kg) at the ends of every products-temperature bracket."""
+
+    composition: gas.GasComposition
+    h_min: float  # at gas.T_MIN
+    h_max: float  # at T_PRODUCTS_MAX
+
+
+@functools.lru_cache(maxsize=gas.COMPOSITION_CACHE_SIZE, typed=True)
+def _products(phi: float) -> _Products:
+    """The products of phi, built once per phi; RichMixtureError above 1."""
+    composition = gas.burned_composition(phi)
+    return _Products(composition, gas.enthalpy_mass(composition, gas.T_MIN),
+                     gas.enthalpy_mass(composition, T_PRODUCTS_MAX))
+
+
+def _products_temperature(products: _Products, target: float, what: str) -> float:
     """Temperature at which the products' total enthalpy is target (J/kg),
     bracketed by [gas.T_MIN, T_PRODUCTS_MAX]; SolverError names `what`."""
-    return bracketed_root(lambda t: gas.enthalpy_mass(products, t) - target,
-                          gas.T_MIN, T_PRODUCTS_MAX, what)
+    return bracketed_root(lambda t: gas.enthalpy_mass(products.composition, t) - target,
+                          gas.T_MIN, T_PRODUCTS_MAX, products.h_min - target,
+                          products.h_max - target, what)
 
 
 def adiabatic_flame_temperature(phi: float, inlet_temperature: float) -> float:
@@ -138,7 +163,7 @@ def adiabatic_flame_temperature(phi: float, inlet_temperature: float) -> float:
     stoichiometric (by roughly 100 K at phi = 1).
     """
     mixture = gas.unburned_mixture(phi)  # ValueError below phi = 0
-    products = gas.burned_composition(phi)  # RichMixtureError above 1
+    products = _products(phi)  # RichMixtureError above 1
     if phi == 0.0:
         return inlet_temperature
     return _products_temperature(products, gas.enthalpy_mass(mixture, inlet_temperature),
@@ -220,7 +245,7 @@ def _solve_thermal(geometry: CombustorGeometry, op: CombustorOperatingPoint):
     phi = op.equivalence_ratio
     mdot = op.total_mass_flow
     mixture = gas.unburned_mixture(phi)
-    products = gas.burned_composition(phi)
+    products = _products(phi)
     h_in = gas.enthalpy_mass(mixture, op.inlet_temperature)
     g_loss = geometry.wall_thermal_conductance
     t_in = op.inlet_temperature
@@ -231,7 +256,7 @@ def _solve_thermal(geometry: CombustorGeometry, op: CombustorOperatingPoint):
     def wall_update(t_w):
         t_e = _products_temperature(products, exit_target(t_w), "combustor exit temperature")
         eps, capacity = _recuperator(geometry, mixture, mdot, t_in, t_w)
-        g_int = INTERIOR_EFFECTIVENESS * mdot * gas.cp_mass(products, t_e)
+        g_int = INTERIOR_EFFECTIVENESS * mdot * gas.cp_mass(products.composition, t_e)
         k_rec = capacity * eps
         return ((g_int * t_e + g_loss * AMBIENT_TEMPERATURE + k_rec * t_in)
                 / (g_int + g_loss + k_rec)), t_e, eps
@@ -240,7 +265,7 @@ def _solve_thermal(geometry: CombustorGeometry, op: CombustorOperatingPoint):
     # leaving no exit temperature on the tables; such a chamber still burns,
     # with a wall below the inlet, so its iteration starts at the sink.
     t_w = max(t_in, AMBIENT_TEMPERATURE)
-    if t_in > AMBIENT_TEMPERATURE and exit_target(t_in) < gas.enthalpy_mass(products, gas.T_MIN):
+    if t_in > AMBIENT_TEMPERATURE and exit_target(t_in) < products.h_min:
         t_w = AMBIENT_TEMPERATURE
     for _ in range(400):
         t_w_new, t_e, eps = wall_update(t_w)

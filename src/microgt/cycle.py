@@ -135,8 +135,8 @@ def combust(inlet: GasState, air_mass_flow: float, fuel_mass_flow: float,
     def residual(t):
         return props.sensible_enthalpy_mass(products, t) - target
 
-    t_exit = bracketed_root(residual, gas.T_MIN, 3000.0,
-                            "combustor exit temperature")
+    t_exit = bracketed_root(residual, gas.T_MIN, 3000.0, residual(gas.T_MIN),
+                            residual(3000.0), "combustor exit temperature")
     return GasState(products, t_exit, p_exit)
 
 

@@ -130,14 +130,15 @@ class Record:
                 raise ValueError(f"{type(self).__name__}.{name} = {value!r}: {problem}")
 
 
-def bracketed_root(f, lo, hi, what):
+def bracketed_root(f, lo, hi, f_lo, f_hi, what):
     """Root of f on [lo, hi] by the Illinois modified regula falsi.
 
-    f(lo) and f(hi) must be finite and of opposite sign (or zero), else
-    SolverError names `what`.  Superlinear like Brent's method
+    f_lo and f_hi are f(lo) and f(hi), which the caller evaluates, so that
+    a caller solving many roots on one bracket can hold the parts of them
+    that do not change.  They must be finite and of opposite sign (or
+    zero), else SolverError names `what`.  Superlinear like Brent's method
     (Dowell & Jarratt, BIT 11, 1971).
     """
-    f_lo, f_hi = f(lo), f(hi)
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
         raise SolverError(
             f"{what}: residual not finite at the bracket [{lo:g}, {hi:g}] "

@@ -1,6 +1,8 @@
 import importlib.util
 import math
+import os
 import re
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -530,6 +532,35 @@ def test_sub_ambient_check_matches_cycle_expand(sigma):
             assert "exceeds inlet pressure" in str(exc)
             expands = False
         assert accepted == expands, ratio
+
+
+def test_run_bearing_rejects_a_film_beyond_float_range(tmp_path, capsys):
+    """An rpm near the float limit overflows the starting residual: a
+    SolverError that names the compressibility number, raised before any
+    factorisation, and no numpy warning (the settings make one an error)."""
+    out = tmp_path / "out"
+    assert cli.main(["run", "bearing", "--out", str(out),
+                     "--sweep", "rpm=-1e308:1e308:3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bearing: residual not finite at iteration 0 "
+                          "(compressibility number")
+    assert "Warning" not in err and "singular" not in err
+    assert not out.exists()
+
+
+def test_cycle_runs_without_scipy(tmp_path):
+    """scipy is most of the start-up time and only a Reynolds solve needs
+    it: importing the command line and running the cycle leave it unloaded."""
+    code = ("import sys\n"
+            "from microgt.cli import main\n"
+            "assert main(['run', 'cycle', '--out', sys.argv[1]]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_run_prints_residual_history_on_solver_error(tmp_path, capsys, monkeypatch):

@@ -129,19 +129,21 @@ def test_bracketed_root_finds_a_root_superlinearly():
         calls.append(x)
         return x ** 3 - 2.0
 
-    root = bracketed_root(f, 0.0, 2.0, "cube root")
+    root = bracketed_root(f, 0.0, 2.0, f(0.0), f(2.0), "cube root")
     assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
+    assert root.hex() == "0x1.428a2f98d728bp+0"  # as when it evaluated f(lo), f(hi)
     assert len(calls) < 30  # bisection needs ~45 halvings for this width
 
 
 def test_bracketed_root_rejects_an_unbracketed_interval():
     with pytest.raises(SolverError, match="no root"):
-        bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0, "test")
+        bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0, "test")
 
 
 def test_bracketed_root_rejects_a_non_finite_end():
     with pytest.raises(SolverError, match="not finite"):
-        bracketed_root(lambda x: math.nan if x < 0.0 else x - 1.0, -1.0, 2.0, "test")
+        bracketed_root(lambda x: math.nan if x < 0.0 else x - 1.0, -1.0, 2.0,
+                       math.nan, 1.0, "test")
 
 
 def test_exit_temperature_outside_bracket_raises_instead_of_clamping():
