@@ -18,8 +18,9 @@ from the grid-search procedure in tests/calibration_fixture.py.
 
 The products of each equivalence ratio, and their total enthalpies at the
 two ends of the products-temperature bracket, are built once per phi
-(_products, a bounded LRU cache), so the dozens of exit-temperature roots
-of one point, and the points of one blow-out scan, share them.
+(_products, an LRU cache of the last phi), so the dozens of exit-temperature
+roots of one point, its residence time, and the points of one blow-out scan
+share them.
 
 No dissociation, no spatial resolution, ideal-gas mixtures throughout.
 """
@@ -209,7 +210,7 @@ def residence_time(geometry: CombustorGeometry, op: CombustorOperatingPoint,
     """Chamber volume over the volumetric throughput at flame conditions."""
     if flame_temperature <= 0.0:
         raise ValueError("flame_temperature must be positive")
-    products = gas.burned_composition(op.equivalence_ratio)
+    products = _products(op.equivalence_ratio).composition
     rho = (op.inlet_pressure * products.molar_mass
            / (gas.R_UNIVERSAL * flame_temperature))
     return geometry.chamber_volume * rho / op.total_mass_flow

@@ -18,10 +18,12 @@ check and one loop over the species, so its result depends on the
 composition's species order; tests/test_gas.py pins it bit for bit to the
 per-species SpeciesThermo sums in that order.
 
-burned_composition and unburned_mixture build each composition once per
-equivalence ratio and hand the same immutable GasComposition to every later
-caller (a bounded LRU cache, keyed by value and type), so the several
-property calls of one combustor point share one set of tables.
+unburned_mixture builds each mixture once per equivalence ratio and hands
+the same immutable GasComposition to the later callers of that phi (an LRU
+cache of the last phi, keyed by value and type), so the several property
+calls of one combustor point share one set of tables.  burned_composition
+builds anew on each call; the combustor holds the products of its last phi
+itself, together with their bracket enthalpies.
 
 All functions are pure and all value types are immutable, so they are safe
 to call concurrently.  Ideal-gas behaviour is assumed throughout; see
@@ -41,11 +43,11 @@ R_UNIVERSAL = 8.314462618  # J/(mol K)
 T_REFERENCE = 298.15  # K, sensible-enthalpy datum
 AIR_VISCOSITY = 1.85e-5  # Pa s at 300 K
 
-# Entries held by each per-phi cache (burned_composition, unburned_mixture
-# and the combustor's products).  A stability point or a blow-out scan
-# reuses one phi; 32 entries keep a small phi grid warm for about 0.1 MB,
-# where 128 raised the peak RSS of thermo_sweep by 0.8 MB.
-COMPOSITION_CACHE_SIZE = 32
+# Entries held by each per-phi cache (unburned_mixture and the combustor's
+# products).  Their callers ask for one phi many times in a row: the property
+# calls of a stability point, the points of a blow-out scan.  No caller comes
+# back to an earlier phi, so the last one is all a cache needs to hold.
+COMPOSITION_CACHE_SIZE = 1
 
 # Dry air by mole, water vapour ignored.
 AIR_MOLE_FRACTIONS = {"N2": 0.7808, "O2": 0.2095, "Ar": 0.0097}
@@ -281,7 +283,6 @@ def gamma(composition: GasComposition, t: float) -> float:
     return cp / (cp - specific_gas_constant(composition))
 
 
-@functools.lru_cache(maxsize=COMPOSITION_CACHE_SIZE, typed=True)
 def burned_composition(phi: float) -> GasComposition:
     """Products of complete combustion of H2 in dry air at equivalence ratio phi.
 

@@ -1,10 +1,11 @@
 """The composition and products-bracket caches change no bit of any answer.
 
-gas.burned_composition, gas.unburned_mixture and combustor._products build
-each composition, and the products' enthalpies at the bracket ends, once per
-equivalence ratio.  The values below are float.hex pins of the same calls
-made before those caches existed; each must come out the same from a cold
-cache and from a warm one.
+gas.unburned_mixture and combustor._products build each composition, and
+the products' enthalpies at the bracket ends, once per equivalence ratio.
+The values below are float.hex pins of the same calls made before those
+caches existed; each must come out the same from a cold cache and from a
+warm one.  run_cycle reaches neither cache (cycle.combust builds its
+products itself) and is pinned all the same.
 """
 
 from dataclasses import replace
@@ -21,16 +22,14 @@ OP = cb.CombustorOperatingPoint
 
 
 def clear_caches():
-    for cached in (gas.burned_composition, gas.unburned_mixture, cb._products):
+    for cached in (gas.unburned_mixture, cb._products):
         cached.cache_clear()
 
 
 def cold_and_warm(compute):
     """compute() after clearing every cache, then again with them filled."""
     clear_caches()
-    cold = compute()
-    assert gas.burned_composition.cache_info().currsize > 0
-    return cold, compute()
+    return compute(), compute()
 
 
 # (geometry, operating point): stable, residence, chemical time, Da, exit T, wall T
@@ -116,13 +115,26 @@ def test_held_bracket_enthalpies_give_the_evaluated_root(target, pin):
     assert evaluated.hex() == held.hex() == pin
 
 
-def test_caches_are_bounded_and_keyed_by_type():
+def test_caches_hold_the_last_phi_keyed_by_type():
     clear_caches()
-    for i in range(gas.COMPOSITION_CACHE_SIZE + 10):
-        cb._products(i / 1000.0)
-    assert gas.burned_composition.cache_info().currsize == gas.COMPOSITION_CACHE_SIZE
-    assert cb._products.cache_info().currsize == gas.COMPOSITION_CACHE_SIZE
+    for phi in (0.5, 0.6, 0.5):
+        cb._products(phi)
+        gas.unburned_mixture(phi)
+    for cached in (gas.unburned_mixture, cb._products):
+        info = cached.cache_info()
+        assert (info.hits, info.misses) == (0, 3)
+        assert info.currsize == gas.COMPOSITION_CACHE_SIZE == 1
+    assert cb._products(0.5) is cb._products(0.5)
+    assert cb._products(0.5).composition is cb._products(0.5).composition
     # an int and a float phi of equal value are cached apart
-    assert gas.burned_composition(1) is not gas.burned_composition(1.0)
-    assert gas.burned_composition(1) == gas.burned_composition(1.0)
-    assert gas.burned_composition(0.5) is gas.burned_composition(0.5)
+    assert gas.unburned_mixture(1) is not gas.unburned_mixture(1.0)
+    assert gas.unburned_mixture(1) == gas.unburned_mixture(1.0)
+
+
+def test_residence_time_reads_the_held_products():
+    clear_caches()
+    op = OP(0.1e-3, 0.8)
+    tau = cb.residence_time(GEOM, op, 1800.0)
+    assert cb._products.cache_info().misses == 1
+    rho = op.inlet_pressure * gas.burned_composition(0.8).molar_mass / (gas.R_UNIVERSAL * 1800.0)
+    assert tau == GEOM.chamber_volume * rho / op.total_mass_flow
