@@ -26,19 +26,24 @@ theta (successive-difference ratios 1.92, 1.88, 1.92 from n_theta = 96 to
 item 6 tracks the first-order term.
 The nonlinear system (the Couette term carries sqrt(q)) is solved by damped
 Newton iteration.  The sparse Jacobian comes from colored finite differences
-(Curtis, Powell and Reid, 1974): rows take five colours and the periodic
-columns six (five when n_theta is a multiple of five), in blocks, so 30
-colours (or 25) cover the 5 x 5 residual stencil.  The residual is split into
-a row-local half (sqrt(q), the v-differences, the v-face path integrals and
-Couette sums of each node row) and a cross-row half.  The colours that
-perturb the same columns differ only in which rows they perturb, so the
-row-local half is evaluated once per column colour, with every interior row
-perturbed, and the cross-row half once per colour on a batch of fields that
-take the perturbed rows from it and the other rows from the unperturbed
-field.  Each entry reads only its own stencil, so every Jacobian value is
-bit-identical to one residual call per colour.  The colour masks and the
-CSC pattern depend only on the grid and are built once per grid, so each
-Newton step only fills the values.  The Jacobian is factored by SuperLU
+(Curtis, Powell and Reid, 1974; Coleman and More, 1983), coloured by the
+columns each residual reads: rows i-2 to i+2, and columns t-1 to t+1 plus
+t-2 or t+2 only at the kinked faces whose side slope reads them.  Rows take
+five colours and the periodic columns a greedy colouring of that reach, 4
+on the default face, so 20 colours cover it where the full 5 x 5 box took
+30 (25 when n_theta is a multiple of five), never more.  The residual is
+split into a row-local half (sqrt(q), the v-differences, the v-face path
+integrals and Couette sums of each node row) and a cross-row half.  The
+colours that perturb the same columns differ only in which rows they
+perturb, so the row-local half is evaluated once per column colour, with
+every interior row perturbed, and the cross-row half once per colour on a
+batch of fields that take the perturbed rows from it and the other rows
+from the unperturbed field.  Each entry reads only its own reach, so every
+Jacobian value is bit-identical to one residual call per box colour, and
+the pattern holds the reach only, less the exact zeros each Jacobian drops.
+The colour masks and the CSC pattern depend only on the grid and the groove
+pattern and are built once per pair, so each Newton step only fills the
+values.  The Jacobian is factored by SuperLU
 with minimum-degree ordering on A^T + A in symmetric mode, since the
 stencil is structurally symmetric.  A factorisation costs more than a
 Jacobian, so factors are reused (Knoll and Keyes, 2004): each Newton step
@@ -128,6 +133,11 @@ class FilmState(Record):
     ambient_pressure: float = param("ambient_pressure_pa", 101325.0, "(0, inf)")
     viscosity: float = param("viscosity_pa_s", AIR_VISCOSITY, "(0, inf)")
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not math.isfinite(self.omega):  # |rpm| above about 2.9e307
+            raise ValueError(f"rpm = {self.rpm!r}: angular speed beyond float range")
+
     @property
     def omega(self) -> float:
         return 2.0 * math.pi * self.rpm / 60.0
@@ -195,41 +205,69 @@ def stripe_cells(bearing: SpiralGrooveBearing, n_theta: int) -> float:
     return min(a, 1.0 - a) * n_theta / bearing.groove_count
 
 
-def _colored_stencil(n_rows: int, n_theta: int):
-    """int32 (source, target, colour) of every entry of the 5 x 5 periodic
-    residual stencil, as flat cell indices, and each cell's colour; no two
-    cells of one colour reach a common residual.
+def _colored_stencil(n_rows: int, n_theta: int, reach_left, reach_right):
+    """int32 (source, target, colour) of every entry of the residual's
+    reach, as flat cell indices, and each cell's colour; no two cells of one
+    colour reach a common residual.
 
-    Rows take five colours; the periodic columns are split into blocks of
-    six and then of five cells, coloured by position in the block, so two
-    columns of one colour are at least five apart.  Such a split exists for
-    every n_theta >= 20, which MIN_ANGULAR_NODES guarantees; it needs 30
-    colours, or 25 when n_theta is a multiple of five.
+    The residual of cell (i, t) reads q at rows i-2 to i+2 and columns t-1,
+    t and t+1, and also column t-2 where reach_left[t] and column t+2 where
+    reach_right[t] (_reach); every other read is a branch that np.where
+    discards.  Rows take five colours.  The periodic columns are coloured
+    greedily in order, each taking the lowest colour that no column sharing
+    a reading residual holds.  Where that needs more colours than the full
+    5 x 5 box, the columns take the box colouring instead: blocks of six and
+    then of five columns, coloured by position in the block, so two columns
+    of one colour are at least five apart.  Such a split exists for every
+    n_theta >= 20, which MIN_ANGULAR_NODES guarantees, so there are at most
+    30 colours, or 25 when n_theta is a multiple of five.
     """
+    reads = np.ones((n_theta, 5), dtype=bool)  # column t reads t + offset - 2
+    reads[:, 0], reads[:, 4] = reach_left, reach_right
+    column = np.arange(n_theta, dtype=np.int32)
+    clash = [set() for _ in range(n_theta)]  # columns sharing a reading residual
+    for cols in np.where(reads, (column[:, None] + np.arange(-2, 3)) % n_theta,
+                         -1).tolist():
+        cols = [c for c in cols if c >= 0]
+        for c in cols:
+            clash[c].update(cols)
+    greedy = [-1] * n_theta
+    for j in range(n_theta):
+        used = {greedy[k] for k in clash[j]}
+        greedy[j] = next(c for c in range(len(used) + 1) if c not in used)
+    six_wide = 6 * (n_theta % 5)  # columns in blocks of six
+    col_colour = np.array(greedy, dtype=np.int32)
+    if max(greedy) >= (6 if six_wide else 5):
+        col_colour = np.where(column < six_wide, column % 6, (column - six_wide) % 5)
+    n_col = int(col_colour.max()) + 1
+
     cell = np.arange(n_rows * n_theta, dtype=np.int32)
     i, j = np.divmod(cell, n_theta)
-    six_wide = 6 * (n_theta % 5)  # columns in blocks of six
-    col_colours = 6 if six_wide else 5
-    colour = (i % 5) * col_colours + np.where(j < six_wide, j % 6, (j - six_wide) % 5)
+    colour = (i % 5) * n_col + col_colour[j]
     d_i, d_j = np.divmod(np.arange(25, dtype=np.int32), 5)
     t_i = i[:, None] + d_i - 2
-    keep = (t_i >= 0) & (t_i < n_rows)
-    target = t_i * n_theta + (j[:, None] + d_j - 2) % n_theta
+    t_j = (j[:, None] + d_j - 2) % n_theta
+    keep = (t_i >= 0) & (t_i < n_rows) & reads[t_j, 4 - d_j]
+    target = t_i * n_theta + t_j
     reach = keep.sum(axis=1)
     return (np.repeat(cell, reach), target[keep], np.repeat(colour, reach),
             colour.reshape(n_rows, n_theta))
 
 
 @functools.lru_cache(maxsize=8)
-def _jacobian_pattern(n_rows: int, n_theta: int):
-    """Grid-only structure of the colored finite-difference Jacobian, built
-    once per grid and read-only: a boolean mask per colour over the full
-    node lattice (the boundary rows carry no colour), and the CSC pattern of
-    the whole stencil, columns being sources and rows ascending within a
-    column, as the flat index of each entry's value in the (colour, cell)
-    array of residual differences, its row and the column pointers.
+def _jacobian_pattern(n_rows: int, n_theta: int, reach_left: bytes, reach_right: bytes):
+    """Structure of the colored finite-difference Jacobian of a grid and
+    the reach masks of its groove pattern (_reach, as bytes), built once per
+    grid and groove pattern and read-only: a boolean mask per colour of
+    _colored_stencil over the full node lattice (the boundary rows carry no
+    colour), and the CSC pattern of the reach, columns being sources and
+    rows ascending within a column, as the flat index of each entry's value
+    in the (colour, cell) array of residual differences, its row and the
+    column pointers.
     """
-    source, target, entry_colour, colour = _colored_stencil(n_rows, n_theta)
+    source, target, entry_colour, colour = _colored_stencil(
+        n_rows, n_theta, np.frombuffer(reach_left, dtype=bool),
+        np.frombuffer(reach_right, dtype=bool))
     n_unknown = n_rows * n_theta
     order = np.lexsort((target, source))
     gather = entry_colour[order].astype(np.intp) * n_unknown + target[order]
@@ -468,6 +506,14 @@ def _residual(co: _Coefficients, q):
     return _cross_rows(co, _row_terms(co, q))
 
 
+def _reach(co: _Coefficients):
+    """Boolean masks of the residual columns t that read q column t-2 and of
+    those that read t+2: face t takes its left slope from column t-2, and
+    face t+1 its right slope from column t+2, where the face is kinked and
+    the slope stays within one strip (_side_means)."""
+    return co.kinked & co.valid_left, np.roll(co.kinked & co.valid_right, -1)
+
+
 def _colour_differences(co: _Coefficients, base_terms, base, masks):
     """Residual differences of the colored finite-difference sweep at the
     full field q, whose row terms are base_terms and residual is base: one
@@ -522,7 +568,9 @@ def _jacobian(co: _Coefficients, terms, base):
     without explicit zeros."""
     from scipy.sparse import csc_matrix
     n_r, n_theta = terms[0].shape
-    masks, gather, indices, indptr = _jacobian_pattern(n_r - 2, n_theta)
+    reach_left, reach_right = _reach(co)
+    masks, gather, indices, indptr = _jacobian_pattern(
+        n_r - 2, n_theta, reach_left.tobytes(), reach_right.tobytes())
     delta = _colour_differences(co, terms, base, masks)
     # eliminate_zeros compacts indices and indptr in place
     jac = csc_matrix((delta.ravel()[gather], indices.copy(), indptr.copy()),

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import splu
 
 from microgt import bearing as br
 from microgt.bearing import FilmState, PressureField, SpiralGrooveBearing
@@ -190,31 +189,106 @@ def test_geometry_validation():
         FilmState(nominal_clearance=0.0)
 
 
+# Faces whose groove edges make many kinked v-faces: several edges on one
+# face path (40 grooves), edges on nodes (16 at 0.25), sub-cell stripes (16
+# at 0.23) and a narrow pump-out pattern (7 at 0.3).
+KINKED_FACES = {
+    "40-grooves": SpiralGrooveBearing(groove_count=40),
+    "16-grooves-0.25": SpiralGrooveBearing(groove_count=16, groove_width_fraction=0.25),
+    "16-grooves-0.23": SpiralGrooveBearing(groove_count=16, groove_width_fraction=0.23),
+    "7-grooves-0.3-pump-out": SpiralGrooveBearing(
+        groove_count=7, groove_width_fraction=0.3, pump_direction="pump-out"),
+}
+
+
+def box_colours(n_rows, n_theta):
+    """Colour of each cell in the colouring of the full 5 x 5 box: five row
+    colours times the periodic columns in blocks of six, then of five,
+    coloured by position in the block; 30 colours, or 25 when n_theta is a
+    multiple of five."""
+    i, j = np.divmod(np.arange(n_rows * n_theta), n_theta)
+    six_wide = 6 * (n_theta % 5)
+    n_col = 6 if six_wide else 5
+    colour = (i % 5) * n_col + np.where(j < six_wide, j % 6, (j - six_wide) % 5)
+    return colour.reshape(n_rows, n_theta)
+
+
+def face_reach(face, n_theta):
+    return br._reach(br._coefficients(face, FILM, 33, n_theta))
+
+
 def test_colored_stencil_matches_loop_reference():
-    """Columns are coloured in blocks of six, then of five: 30 colours, or 25
-    when n_theta is a multiple of five.  Every n_theta >= 20 splits that way,
-    and MIN_ANGULAR_NODES keeps the solver's grids above it."""
+    """The stencil lists each residual's reach, sources in order and targets
+    by row and then by column offset; no two cells of one colour reach a
+    common residual.  Columns without a reach mask read three columns, and
+    reading five everywhere takes the box colouring."""
     assert br.MIN_ANGULAR_NODES >= 20
-    for n_rows, n_theta, n_colours in ((7, 20, 25), (7, 23, 30), (31, 64, 30),
-                                       (31, 80, 25), (31, 96, 30), (31, 192, 30)):
-        source, target, colour, cell_colour = br._colored_stencil(n_rows, n_theta)
-        six_wide = 6 * (n_theta % 5)
+    cases = [(7, 20, np.zeros(20, bool), np.zeros(20, bool), 25),
+             (7, 23, np.zeros(23, bool), np.zeros(23, bool), 25),
+             (7, 20, np.ones(20, bool), np.ones(20, bool), 25),
+             (7, 23, np.ones(23, bool), np.ones(23, bool), 30)]
+    cases += [(31, n_theta, *face_reach(BEARING, n_theta), 20)
+              for n_theta in (64, 80, 96, 192)]
+    cases += [(11, 64, *face_reach(face, 64), None) for face in KINKED_FACES.values()]
+    for n_rows, n_theta, reach_left, reach_right, n_colours in cases:
+        source, target, colour, cell_colour = br._colored_stencil(
+            n_rows, n_theta, reach_left, reach_right)
         expected = []
         for i in range(n_rows):
             for j in range(n_theta):
-                col = j % 6 if j < six_wide else (j - six_wide) % 5
                 for di in (-2, -1, 0, 1, 2):
                     for dj in (-2, -1, 0, 1, 2):
-                        if 0 <= i + di < n_rows:
-                            expected.append((i * n_theta + j,
-                                             (i + di) * n_theta + (j + dj) % n_theta,
-                                             (i % 5) * (n_colours // 5) + col))
+                        t = (j + dj) % n_theta  # the residual column
+                        reads = (abs(dj) < 2 or (dj == 2 and reach_left[t])
+                                 or (dj == -2 and reach_right[t]))
+                        if 0 <= i + di < n_rows and reads:
+                            expected.append((i * n_theta + j, (i + di) * n_theta + t,
+                                             cell_colour[i, j]))
         assert list(zip(source.tolist(), target.tolist(), colour.tolist())) == expected
-        assert np.array_equal(cell_colour.ravel()[source], colour)
-        assert np.unique(cell_colour).tolist() == list(range(n_colours))
+        used = np.unique(cell_colour).tolist()
+        assert used == list(range(len(used)))
+        assert len(used) == (n_colours or len(used))
+        assert len(used) <= box_colours(n_rows, n_theta).max() + 1
         # each residual is reached at most once per colour
-        pairs = target.astype(np.int64) * n_colours + colour
+        pairs = target.astype(np.int64) * len(used) + colour
         assert np.unique(pairs).size == pairs.size
+
+
+@settings(deadline=None, max_examples=60)
+@given(count=st.integers(4, 60), fraction=st.floats(0.05, 0.95),
+       n_theta=st.integers(br.MIN_ANGULAR_NODES, 400))
+def test_reach_colouring_never_needs_more_colours_than_the_box(count, fraction,
+                                                               n_theta):
+    face = SpiralGrooveBearing(groove_count=count, groove_width_fraction=fraction)
+    source, target, colour, cell_colour = br._colored_stencil(
+        5, n_theta, *face_reach(face, n_theta))
+    n_colours = int(cell_colour.max()) + 1
+    assert n_colours <= box_colours(5, n_theta).max() + 1
+    pairs = target.astype(np.int64) * n_colours + colour
+    assert np.unique(pairs).size == pairs.size
+
+
+@pytest.mark.parametrize("face", list(KINKED_FACES))
+def test_nan_reaches_only_the_residuals_of_the_column_reach(face):
+    """A nan at one node spreads through the residual exactly to the cells
+    whose reach holds that node: rows within two, and the columns that read
+    its column.  Every other read of q is a branch np.where discards."""
+    n_r, n_theta = 33, 80
+    co = br._coefficients(KINKED_FACES[face], FILM, n_r, n_theta)
+    reach_left, reach_right = br._reach(co)
+    assert reach_left.any() and reach_right.any()
+    row = 15  # of the full lattice
+    for j in range(n_theta):
+        q = np.ones((n_r, n_theta))
+        q[row, j] = np.nan
+        with np.errstate(invalid="ignore"):
+            spread = np.isnan(br._residual(co, q))
+        readers = {(j - 1) % n_theta, j, (j + 1) % n_theta}
+        readers |= {t for t in ((j + 2) % n_theta,) if reach_left[t]}
+        readers |= {t for t in ((j - 2) % n_theta,) if reach_right[t]}
+        expected = np.zeros((n_r - 2, n_theta), bool)
+        expected[row - 3:row + 2, sorted(readers)] = True
+        assert np.array_equal(spread, expected), j
 
 
 # Loads at 33x64 from the solver that factored with SuperLU's default column
@@ -318,31 +392,44 @@ def test_batched_colour_sweep_keeps_loads(n_r, n_theta, clearance, rpm, load_in,
 
 
 def per_colour_jacobian(co, q, base):
-    """Reference colored Jacobian: one full residual call per colour, CSR
-    with exact zeros dropped and sorted indices."""
+    """Reference colored Jacobian over the full 5 x 5 box: one full residual
+    call per box colour, CSR with exact zeros dropped and sorted indices."""
     eps = 1.0e-7
     n_r, n_theta = q.shape
-    source, target, entry_colour, colour = br._colored_stencil(n_r - 2, n_theta)
+    colour = box_colours(n_r - 2, n_theta)
     node_colour = np.pad(colour, ((1, 1), (0, 0)), constant_values=-1)
     delta = np.stack([
         ((br._residual(co, np.where(node_colour == c, q + eps, q)) - base) / eps).ravel()
         for c in range(int(colour.max()) + 1)])
-    jac = csr_matrix((delta[entry_colour, target], (target, source)),
+    cell = np.arange(base.size)
+    i, j = np.divmod(cell, n_theta)
+    d_i, d_j = np.divmod(np.arange(25), 5)
+    t_i = i[:, None] + d_i - 2
+    keep = (t_i >= 0) & (t_i < n_r - 2)
+    target = (t_i * n_theta + (j[:, None] + d_j - 2) % n_theta)[keep]
+    source = np.broadcast_to(cell[:, None], keep.shape)[keep]
+    jac = csr_matrix((delta[colour.ravel()[source], target], (target, source)),
                      shape=(base.size, base.size))
     jac.eliminate_zeros()
     jac.sort_indices()
     return jac
 
 
-@pytest.mark.parametrize("pump", ["pump-in", "pump-out"])
+JACOBIAN_FACES = {"pump-in": BEARING,
+                  "pump-out": SpiralGrooveBearing(pump_direction="pump-out"),
+                  **KINKED_FACES}
+
+
+@pytest.mark.parametrize("face", list(JACOBIAN_FACES))
 @pytest.mark.parametrize("n_r, n_theta", [(33, 64), (33, 66), (33, 80), (65, 96),
                                          (129, 192)])
-def test_jacobian_matches_one_residual_call_per_colour(n_r, n_theta, pump):
-    """The row-local half of the residual, evaluated once per column colour,
-    leaves every Jacobian value bit-identical, at q = 1 and after one Newton
-    step at Lambda 30."""
+def test_jacobian_matches_one_residual_call_per_colour(n_r, n_theta, face):
+    """The reach colouring, with the row-local half of the residual
+    evaluated once per column colour, leaves every Jacobian value
+    bit-identical to the box colouring's, at q = 1 and after one Newton step
+    at Lambda 30."""
     film = FilmState(nominal_clearance=1.5e-6, rpm=121500.0)
-    co = br._coefficients(SpiralGrooveBearing(pump_direction=pump), film, n_r, n_theta)
+    co = br._coefficients(JACOBIAN_FACES[face], film, n_r, n_theta)
 
     def check(q):
         base = br._residual(co, q)
@@ -357,12 +444,13 @@ def test_jacobian_matches_one_residual_call_per_colour(n_r, n_theta, pump):
 
     q = np.ones((n_r, n_theta))
     jac, base = check(q)
-    q[1:-1] += splu(jac).solve(-base.ravel()).reshape(n_r - 2, n_theta)
+    q[1:-1] += br._newton_step(jac, -base.ravel(), br.JacobianFactor()).reshape(
+        n_r - 2, n_theta)
     assert q.min() > 0.0
     check(q)
 
 
-@pytest.mark.parametrize("n_theta, n_col", [(64, 6), (80, 5)])
+@pytest.mark.parametrize("n_theta, n_col", [(64, 4), (80, 4)])
 def test_jacobian_evaluates_row_terms_once_per_column_colour(monkeypatch, n_theta,
                                                              n_col):
     co = br._coefficients(BEARING, FILM, 33, n_theta)
@@ -378,9 +466,23 @@ def test_jacobian_evaluates_row_terms_once_per_column_colour(monkeypatch, n_thet
 
     monkeypatch.setattr(br, "_row_terms", counted)
     br._jacobian(co, terms, base)
-    assert len(br._jacobian_pattern(31, n_theta)[0]) == 5 * n_col  # colours
+    reach = [mask.tobytes() for mask in br._reach(co)]
+    assert len(br._jacobian_pattern(31, n_theta, *reach)[0]) == 5 * n_col  # colours
     assert () not in fields  # q's own row terms are passed in
     assert sum(math.prod(shape) for shape in fields) == n_col  # perturbed copies
+
+
+def test_jacobian_pattern_is_kept_per_groove_pattern():
+    """Faces of different groove patterns on one grid get their own colourings,
+    so a solve gives the load it gives alone, whatever was solved before."""
+    faces = (KINKED_FACES["40-grooves"], BEARING)
+    alone = []
+    for face in faces:
+        br._jacobian_pattern.cache_clear()
+        alone.append(br.solve_load(face, FILM, 33, 64))
+    br._jacobian_pattern.cache_clear()
+    assert [br.solve_load(face, FILM, 33, 64) for face in faces] == alone
+    assert br._jacobian_pattern.cache_info().currsize == 2
 
 
 def count_calls(monkeypatch, name):

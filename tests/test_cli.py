@@ -341,9 +341,10 @@ def test_run_sweep_ends_on_stop(tmp_path):
 
 
 def test_sweep_points_between_ends_near_the_float_limit():
-    key, values, configs = cli._parse_sweep("rpm=-1e308:1e308:3", "bearing",
+    assert cli._points(-1e308, 1e308, 3) == [-1e308, 0.0, 1e308]
+    key, values, configs = cli._parse_sweep("rpm=-2e307:2e307:3", "bearing",
                                             default_config())
-    assert key == "rpm" and values == [-1e308, 0.0, 1e308]
+    assert key == "rpm" and values == [-2e307, 0.0, 2e307]
     assert [c.film_state.rpm for c in configs] == values
 
 
@@ -534,13 +535,32 @@ def test_sub_ambient_check_matches_cycle_expand(sigma):
         assert accepted == expands, ratio
 
 
+def test_run_bearing_rejects_an_rpm_beyond_float_range(tmp_path, capsys):
+    """An |rpm| above about 2.9e307 has no finite angular speed: validation
+    names [bearing] rpm, for a sweep point and for a config value alike."""
+    out = tmp_path / "out"
+    assert cli.main(["run", "bearing", "--out", str(out),
+                     "--sweep", "rpm=-1e308:1e308:3"]) == 1
+    assert capsys.readouterr().err == (
+        "invalid: [bearing] rpm = -1e+308: angular speed beyond float range\n")
+    cfg = tmp_path / "cfg"
+    head, bearing = DEFAULT_CONFIG.split("[bearing]")
+    cfg.write_text(head + "[bearing]" + bearing.replace("rpm = 15000.0", "rpm = 1e308"))
+    assert cli.main(["validate", str(cfg)]) == 1
+    assert cli.main(["run", "bearing", "--config", str(cfg), "--out", str(out)]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert errors == ["invalid: [bearing] rpm = 1e+308: angular speed beyond float range"] * 2
+    assert not out.exists()
+
+
 def test_run_bearing_rejects_a_film_beyond_float_range(tmp_path, capsys):
-    """An rpm near the float limit overflows the starting residual: a
+    """A viscosity near the float limit overflows the starting residual: a
     SolverError that names the compressibility number, raised before any
     factorisation, and no numpy warning (the settings make one an error)."""
     out = tmp_path / "out"
-    assert cli.main(["run", "bearing", "--out", str(out),
-                     "--sweep", "rpm=-1e308:1e308:3"]) == 2
+    cfg = tmp_path / "cfg"
+    cfg.write_text(_with("viscosity_pa_s", "1e305"))
+    assert cli.main(["run", "bearing", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bearing: residual not finite at iteration 0 "
                           "(compressibility number")
