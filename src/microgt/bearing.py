@@ -36,7 +36,7 @@ split into a row-local half (sqrt(q), the v-differences, the v-face path
 integrals and Couette sums of each node row) and a cross-row half.  The
 colours that perturb the same columns differ only in which rows they
 perturb, so the row-local half is evaluated once per column colour, with
-every interior row perturbed, and the cross-row half once per colour on a
+every row perturbed, and the cross-row half once per colour on a
 batch of fields that take the perturbed rows from it and the other rows
 from the unperturbed field.  Each entry reads only its own reach, so every
 Jacobian value is bit-identical to one residual call per box colour, and
@@ -258,12 +258,11 @@ def _colored_stencil(n_rows: int, n_theta: int, reach_left, reach_right):
 def _jacobian_pattern(n_rows: int, n_theta: int, reach_left: bytes, reach_right: bytes):
     """Structure of the colored finite-difference Jacobian of a grid and
     the reach masks of its groove pattern (_reach, as bytes), built once per
-    grid and groove pattern and read-only: a boolean mask per colour of
-    _colored_stencil over the full node lattice (the boundary rows carry no
-    colour), and the CSC pattern of the reach, columns being sources and
-    rows ascending within a column, as the flat index of each entry's value
-    in the (colour, cell) array of residual differences, its row and the
-    column pointers.
+    grid and groove pattern and read-only: a boolean mask over the n_theta
+    columns per column colour of _colored_stencil, and the CSC pattern of
+    the reach, columns being sources and rows ascending within a column, as
+    the flat index of each entry's value in the (colour, cell) array of
+    residual differences, its row and the column pointers.
     """
     source, target, entry_colour, colour = _colored_stencil(
         n_rows, n_theta, np.frombuffer(reach_left, dtype=bool),
@@ -273,8 +272,7 @@ def _jacobian_pattern(n_rows: int, n_theta: int, reach_left: bytes, reach_right:
     gather = entry_colour[order].astype(np.intp) * n_unknown + target[order]
     indices = target[order]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(source, minlength=n_unknown))))
-    node_colour = np.pad(colour, ((1, 1), (0, 0)), constant_values=-1)
-    masks = node_colour == np.arange(int(colour.max()) + 1)[:, None, None]
+    masks = colour[0] == np.arange(int(colour[0].max()) + 1)[:, None]
     for array in (masks, gather, indices, indptr):
         array.flags.writeable = False
     return masks, gather, indices, indptr
@@ -296,7 +294,6 @@ class JacobianFactor:
 
     def __init__(self):
         self.lu = None  # SuperLU factor, or None
-        self.size = 0  # order of the factored Jacobian
 
 
 def _newton_step(jac, rhs, factor: JacobianFactor):
@@ -309,7 +306,7 @@ def _newton_step(jac, rhs, factor: JacobianFactor):
     REFINE_CONTRACTION or REFINE_MAX_SWEEPS corrections do not reach the
     tolerance; a held factor of another order is never tried.
     """
-    if factor.lu is not None and factor.size == rhs.size:
+    if factor.lu is not None and factor.lu.shape[0] == rhs.size:
         step = factor.lu.solve(rhs)
         last = np.max(np.abs(step))
         for _ in range(REFINE_MAX_SWEEPS):
@@ -324,7 +321,6 @@ def _newton_step(jac, rhs, factor: JacobianFactor):
     factor.lu = None  # free the stale factor before making the next one
     factor.lu = splu(jac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                      options={"SymmetricMode": True})
-    factor.size = rhs.size
     return factor.lu.solve(rhs)
 
 
@@ -517,21 +513,21 @@ def _reach(co: _Coefficients):
 def _colour_differences(co: _Coefficients, base_terms, base, masks):
     """Residual differences of the colored finite-difference sweep at the
     full field q, whose row terms are base_terms and residual is base: one
-    (n_r - 2, n_theta) array per colour of masks, stacked in colour order.
+    (n_r - 2, n_theta) array per colour, stacked in colour order.
 
     Colour c = r * n_col + cc perturbs the interior rows of row colour r
-    (every fifth row) at the columns of column colour cc.  Row terms read
-    only their own row, so the colours sharing cc take the perturbed rows'
-    terms from one evaluation with every interior row perturbed at those
-    columns and the other rows' terms from base_terms: the row-local half
-    of the residual is evaluated once per column colour, and every
-    difference is bit-identical to one residual call per colour.
+    (every fifth row) at the columns of column colour cc, masks[cc].  Row
+    terms read only their own row, so the colours sharing cc take the
+    perturbed rows' terms from one evaluation with every row perturbed at
+    those columns, and the other rows' terms from base_terms; the boundary
+    rows' perturbed terms are never read.  So the row-local half of the
+    residual is evaluated once per column colour, and every difference is
+    bit-identical to one residual call per colour.
     """
     eps = 1.0e-7
     q = base_terms[0]
-    n_r, n_theta = q.shape
-    n_col = len(masks) // 5
-    col_masks = masks.reshape(5, n_col, n_r, n_theta).any(axis=0)
+    n_r = len(q)
+    n_col = len(masks)
     # at most `block` perturbed fields per batch of the cross-row stage
     block = max(1, JACOBIAN_BLOCK_CELLS // q.size)
     col_step, row_step = max(1, block // 5), min(5, block)
@@ -551,7 +547,7 @@ def _colour_differences(co: _Coefficients, base_terms, base, masks):
     q_eps = q + eps
     delta = np.empty((5, n_col) + base.shape)
     for cc in range(0, n_col, col_step):
-        perturbed = _row_terms(co, np.where(col_masks[cc:cc + col_step], q_eps, q))
+        perturbed = _row_terms(co, np.where(masks[cc:cc + col_step, None], q_eps, q))
         n_cc = len(perturbed[0])
         for r in range(0, 5, row_step):
             n_rc = min(row_step, 5 - r)
@@ -614,7 +610,7 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
     # A film beyond float range overflows the flux scale or the starting
     # residual.  The test after this block raises for it, before any
     # factorisation, so numpy's warnings would only repeat it.  Every later
-    # residual is a line-search trial whose norm fell, so it is finite.
+    # residual is a line-search trial whose norm did not grow (see there).
     with np.errstate(over="ignore", invalid="ignore"):
         # Per-node magnitude of the flux terms, the yardstick of convergence.
         couette = (co.inv_h2_left + co.inv_h2_right) / s3
@@ -648,7 +644,10 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
                                 ).reshape(f.shape)
         except RuntimeError as exc:  # SuperLU: the Jacobian is singular
             raise SolverError(f"{exc} at iteration {iteration}", history) from exc
-        norm0 = float(np.linalg.norm(f))
+        # A finite residual near the float limit has an inf norm; the stall
+        # test, not a numpy warning, reports a solve that then stops falling.
+        with np.errstate(over="ignore"):
+            norm0 = float(np.linalg.norm(f))
         alpha = 1.0
         for _ in range(40):
             trial = q.copy()
@@ -658,7 +657,9 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
                 continue
             trial_terms = _row_terms(co, trial)
             f_trial = _cross_rows(co, trial_terms)
-            if float(np.linalg.norm(f_trial)) <= (1.0 - 1e-4 * alpha) * norm0:
+            with np.errstate(over="ignore"):
+                norm = float(np.linalg.norm(f_trial))
+            if norm <= (1.0 - 1e-4 * alpha) * norm0:
                 break
             alpha *= 0.5
         else:

@@ -16,11 +16,11 @@ preheated-mixture temperature.  The chemical-time constants and the wall
 conductance are calibration parameters; the shipped defaults were frozen
 from the grid-search procedure in tests/calibration_fixture.py.
 
-The products of each equivalence ratio, and their total enthalpies at the
-two ends of the products-temperature bracket, are built once per phi
-(_products, an LRU cache of the last phi), so the dozens of exit-temperature
-roots of one point, its residence time, and the points of one blow-out scan
-share them.
+The unburned mixture and the products of each equivalence ratio, and the
+products' total enthalpies at the two ends of the products-temperature
+bracket, are built once per phi into one record (_products, which holds the
+last phi's), so the dozens of exit-temperature roots of one point, its
+residence time, and the points of one blow-out scan share them.
 
 No dissociation, no spatial resolution, ideal-gas mixtures throughout.
 """
@@ -131,19 +131,26 @@ def viscosity(t: float) -> float:
 
 
 class _Products(NamedTuple):
-    """Complete-combustion products of one equivalence ratio and their total
-    enthalpies (J/kg) at the ends of every products-temperature bracket."""
+    """Unburned mixture and complete-combustion products of one equivalence
+    ratio, and the products' total enthalpies (J/kg) at the ends of every
+    products-temperature bracket."""
 
+    mixture: gas.GasComposition
     composition: gas.GasComposition
     h_min: float  # at gas.T_MIN
     h_max: float  # at T_PRODUCTS_MAX
 
 
-@functools.lru_cache(maxsize=gas.COMPOSITION_CACHE_SIZE, typed=True)
+# The callers ask for one phi many times in a row (the property calls of a
+# stability point, the points of a blow-out scan) and never come back to an
+# earlier one, so the last phi is all the cache needs to hold.
+@functools.lru_cache(maxsize=1, typed=True)
 def _products(phi: float) -> _Products:
-    """The products of phi, built once per phi; RichMixtureError above 1."""
+    """The record of phi, built once per phi; ValueError below 0,
+    RichMixtureError above 1."""
+    mixture = gas.unburned_mixture(phi)
     composition = gas.burned_composition(phi)
-    return _Products(composition, gas.enthalpy_mass(composition, gas.T_MIN),
+    return _Products(mixture, composition, gas.enthalpy_mass(composition, gas.T_MIN),
                      gas.enthalpy_mass(composition, T_PRODUCTS_MAX))
 
 
@@ -163,11 +170,11 @@ def adiabatic_flame_temperature(phi: float, inlet_temperature: float) -> float:
     Without dissociation the result runs above equilibrium values near
     stoichiometric (by roughly 100 K at phi = 1).
     """
-    mixture = gas.unburned_mixture(phi)  # ValueError below phi = 0
-    products = _products(phi)  # RichMixtureError above 1
+    products = _products(phi)
     if phi == 0.0:
         return inlet_temperature
-    return _products_temperature(products, gas.enthalpy_mass(mixture, inlet_temperature),
+    return _products_temperature(products,
+                                 gas.enthalpy_mass(products.mixture, inlet_temperature),
                                  "adiabatic flame temperature")
 
 
@@ -199,7 +206,7 @@ def recuperator_preheat(geometry: CombustorGeometry, op: CombustorOperatingPoint
     if wall_temperature < floor:
         raise ValueError(f"wall temperature {wall_temperature:.2f} K is below "
                          f"min(inlet, ambient) = {floor:.2f} K")
-    eps, capacity = _recuperator(geometry, gas.unburned_mixture(op.equivalence_ratio),
+    eps, capacity = _recuperator(geometry, _products(op.equivalence_ratio).mixture,
                                  op.total_mass_flow, t_in, wall_temperature)
     t_pre = t_in + eps * (wall_temperature - t_in)
     return t_pre, capacity * (t_pre - t_in)
@@ -245,8 +252,8 @@ def _solve_thermal(geometry: CombustorGeometry, op: CombustorOperatingPoint):
     """
     phi = op.equivalence_ratio
     mdot = op.total_mass_flow
-    mixture = gas.unburned_mixture(phi)
     products = _products(phi)
+    mixture = products.mixture
     h_in = gas.enthalpy_mass(mixture, op.inlet_temperature)
     g_loss = geometry.wall_thermal_conductance
     t_in = op.inlet_temperature

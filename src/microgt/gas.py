@@ -16,14 +16,9 @@ A GasComposition holds flat per-species coefficient tables, one per fit
 range, built once with the composition.  A property call makes one range
 check and one loop over the species, so its result depends on the
 composition's species order; tests/test_gas.py pins it bit for bit to the
-per-species SpeciesThermo sums in that order.
-
-unburned_mixture builds each mixture once per equivalence ratio and hands
-the same immutable GasComposition to the later callers of that phi (an LRU
-cache of the last phi, keyed by value and type), so the several property
-calls of one combustor point share one set of tables.  burned_composition
-builds anew on each call; the combustor holds the products of its last phi
-itself, together with their bracket enthalpies.
+per-species SpeciesThermo sums in that order.  unburned_mixture and
+burned_composition build a new composition on each call; the combustor
+holds the pair of its last phi.
 
 All functions are pure and all value types are immutable, so they are safe
 to call concurrently.  Ideal-gas behaviour is assumed throughout; see
@@ -32,7 +27,6 @@ docs/property_data.md for the coefficient listing and validity ranges.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -42,12 +36,6 @@ from .params import Record, param
 R_UNIVERSAL = 8.314462618  # J/(mol K)
 T_REFERENCE = 298.15  # K, sensible-enthalpy datum
 AIR_VISCOSITY = 1.85e-5  # Pa s at 300 K
-
-# Entries held by each per-phi cache (unburned_mixture and the combustor's
-# products).  Their callers ask for one phi many times in a row: the property
-# calls of a stability point, the points of a blow-out scan.  No caller comes
-# back to an earlier phi, so the last one is all a cache needs to hold.
-COMPOSITION_CACHE_SIZE = 1
 
 # Dry air by mole, water vapour ignored.
 AIR_MOLE_FRACTIONS = {"N2": 0.7808, "O2": 0.2095, "Ar": 0.0097}
@@ -321,7 +309,6 @@ def equivalence_ratio(fuel_mass_flow: float, air_mass_flow: float) -> float:
     return (fuel_mass_flow / air_mass_flow) / fuel_air_mass_ratio(1.0)
 
 
-@functools.lru_cache(maxsize=COMPOSITION_CACHE_SIZE, typed=True)
 def unburned_mixture(phi: float) -> GasComposition:
     """Premixed H2-air composition at equivalence ratio phi (before reaction)."""
     if phi < 0.0:

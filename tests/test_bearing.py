@@ -176,6 +176,15 @@ def test_newton_gives_up_once_the_residual_stops_falling(face):
     assert min(history) == history[0]
 
 
+def test_film_near_the_float_limit_fails_without_a_warning():
+    """At this viscosity the residual is finite but its norm overflows; the
+    solve raises SolverError and numpy warns of nothing (the test settings
+    make a warning an error)."""
+    film = FilmState(viscosity=1e300)
+    with pytest.raises(br.SolverError, match="residual stopped falling"):
+        br.solve_reynolds(BEARING, film, 33, 64)
+
+
 def test_geometry_validation():
     with pytest.raises(ValueError):
         SpiralGrooveBearing(inner_radius=3.0e-3)
@@ -469,7 +478,7 @@ def test_jacobian_evaluates_row_terms_once_per_column_colour(monkeypatch, n_thet
     monkeypatch.setattr(br, "_row_terms", counted)
     br._jacobian(co, terms, base)
     reach = [mask.tobytes() for mask in br._reach(co)]
-    assert len(br._jacobian_pattern(31, n_theta, *reach)[0]) == 5 * n_col  # colours
+    assert len(br._jacobian_pattern(31, n_theta, *reach)[0]) == n_col  # column colours
     assert () not in fields  # q's own row terms are passed in
     assert sum(math.prod(shape) for shape in fields) == n_col  # perturbed copies
 
@@ -516,6 +525,8 @@ def test_newton_step_matches_dense_solve(monkeypatch, pump):
         dense = jac.toarray()
 
         class Checked:
+            shape = lu.shape
+
             def solve(self, rhs):
                 step = lu.solve(rhs)
                 exact = np.linalg.solve(dense, rhs)

@@ -1,11 +1,11 @@
-"""The composition and products-bracket caches change no bit of any answer.
+"""The per-phi record of the combustor changes no bit of any answer.
 
-gas.unburned_mixture and combustor._products build each composition, and
-the products' enthalpies at the bracket ends, once per equivalence ratio.
-The values below are float.hex pins of the same calls made before those
-caches existed; each must come out the same from a cold cache and from a
-warm one.  run_cycle reaches neither cache (cycle.combust builds its
-products itself) and is pinned all the same.
+combustor._products builds the mixture and the products of each
+equivalence ratio, and the products' enthalpies at the bracket ends, once
+per phi.  The values below are float.hex pins of the same calls made before
+any composition was cached; each must come out the same from a cold cache
+and from a warm one.  run_cycle does not reach the cache (cycle.combust
+builds its products itself) and is pinned all the same.
 """
 
 from dataclasses import replace
@@ -21,14 +21,9 @@ GEOM_06 = replace(GEOM, chamber_height=0.6e-3)
 OP = cb.CombustorOperatingPoint
 
 
-def clear_caches():
-    for cached in (gas.unburned_mixture, cb._products):
-        cached.cache_clear()
-
-
 def cold_and_warm(compute):
-    """compute() after clearing every cache, then again with them filled."""
-    clear_caches()
+    """compute() after clearing the cache, then again with it filled."""
+    cb._products.cache_clear()
     return compute(), compute()
 
 
@@ -116,23 +111,24 @@ def test_held_bracket_enthalpies_give_the_evaluated_root(target, pin):
 
 
 def test_caches_hold_the_last_phi_keyed_by_type():
-    clear_caches()
+    cb._products.cache_clear()
     for phi in (0.5, 0.6, 0.5):
         cb._products(phi)
-        gas.unburned_mixture(phi)
-    for cached in (gas.unburned_mixture, cb._products):
-        info = cached.cache_info()
-        assert (info.hits, info.misses) == (0, 3)
-        assert info.currsize == gas.COMPOSITION_CACHE_SIZE == 1
-    assert cb._products(0.5) is cb._products(0.5)
-    assert cb._products(0.5).composition is cb._products(0.5).composition
-    # an int and a float phi of equal value are cached apart
-    assert gas.unburned_mixture(1) is not gas.unburned_mixture(1.0)
-    assert gas.unburned_mixture(1) == gas.unburned_mixture(1.0)
+    info = cb._products.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 3, 1)
+    held = cb._products(0.5)
+    hit = cb._products(0.5)
+    assert hit.mixture is held.mixture and hit.composition is held.composition
+    assert held.mixture == gas.unburned_mixture(0.5)
+    # an int and a float phi of equal value are held apart
+    as_int, as_float = cb._products(1), cb._products(1.0)
+    assert as_int.mixture is not as_float.mixture
+    assert as_int.composition is not as_float.composition
+    assert as_int == as_float
 
 
 def test_residence_time_reads_the_held_products():
-    clear_caches()
+    cb._products.cache_clear()
     op = OP(0.1e-3, 0.8)
     tau = cb.residence_time(GEOM, op, 1800.0)
     assert cb._products.cache_info().misses == 1

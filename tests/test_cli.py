@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import math
 import os
@@ -268,6 +269,27 @@ def test_run_all_deterministic(tmp_path):
     for name in ("stations.csv", "performance.csv", "combustor.csv",
                  "operating_line.csv", "field.csv", "loadmap.csv"):
         assert (out_1 / name).read_bytes() == (out_2 / name).read_bytes()
+
+
+# sha256 of each default `run all` output.  A change that keeps every answer
+# keeps these; one that moves an answer on purpose re-pins them and lists the
+# old and new digests in CHANGES.md.
+RUN_ALL_DIGESTS = {
+    "combustor.csv": "2b1b1373c48b82d0752f5433bf6e3b5cf48de59892c18a3bd62d433bea6c1e58",
+    "field.csv": "522b76df8b719457823ea8b0711b0d61f04a423300a2862a3210c187bc5a94fb",
+    "loadmap.csv": "66889b2f7b80190f791d65edd83c82348b2f8fd8c0187235325672fb8abbd990",
+    "operating_line.csv": "a20735b3682ef242391123f3d9e7eb253ea85dd4ed2dc84b5ffdb314213c2c4d",
+    "performance.csv": "8d55e44182cc896c8df7f4fa11c5c1028bff9dcb02ad67a13194b679dc9d3436",
+    "stations.csv": "3389d7d806b527761489a52fc5c6d956c3c9d8374daf3f70195fbf175f79eed1",
+    "summary.txt": "c7d6cc44b0fd9a6265d4a088ca29ca212a304ad8a96bbd633abd4f653cb3b427",
+}
+
+
+def test_run_all_outputs_keep_their_bytes(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["run", "all", "--out", str(out)]) == 0
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir()} == RUN_ALL_DIGESTS
 
 
 def test_run_sweep_combustor(tmp_path):
