@@ -583,3 +583,102 @@ def test_default_equilibrium_keeps_clearance_and_loads():
     assert eq.top_clearance == 8.145561835106383e-06
     assert eq.top_load == pytest.approx(5.570371834180439e-04, rel=1e-12, abs=0.0)
     assert eq.bottom_load == pytest.approx(-2.875439234105291e-05, rel=1e-12, abs=0.0)
+
+
+def bisected_equilibrium(top, bottom, total_gap, external_load, film,
+                         load_tolerance=1.0e-6, scan_points=48):
+    """axial_equilibrium as it was before it skipped any midpoint: the scan,
+    then a solve at every bisection midpoint."""
+    factor_top, factor_bot = br.JacobianFactor(), br.JacobianFactor()
+
+    def net(c_top):
+        w_top = br.solve_load(top, replace(film, nominal_clearance=c_top),
+                              *br.EQUILIBRIUM_GRID, factor_top)
+        w_bot = br.solve_load(bottom, replace(film, nominal_clearance=total_gap - c_top),
+                              *br.EQUILIBRIUM_GRID, factor_bot)
+        return w_top - w_bot, w_top, w_bot
+
+    lo_frac, hi_frac = 0.02, 0.98
+    fractions = np.linspace(lo_frac, hi_frac, scan_points)
+    values = []
+    c_lo = c_hi = None
+    for frac in fractions:
+        imbalance = net(frac * total_gap)[0] - external_load
+        values.append(imbalance)
+        if len(values) > 1 and values[-2] * values[-1] <= 0.0:
+            c_lo = fractions[len(values) - 2] * total_gap
+            c_hi = frac * total_gap
+            lo_val = values[-2]
+            break
+    if c_lo is None:
+        raise br.NoEquilibriumError(
+            f"no sign change of the axial imbalance over c_top in "
+            f"[{lo_frac * total_gap:.3e}, {hi_frac * total_gap:.3e}] m; "
+            f"endpoint imbalances {values[0]:.3e} N and {values[-1]:.3e} N"
+        )
+
+    for _ in range(80):
+        c_mid = 0.5 * (c_lo + c_hi)
+        net_mid, w_top, w_bot = net(c_mid)
+        imbalance = net_mid - external_load
+        if abs(imbalance) <= load_tolerance and (c_hi - c_lo) <= 1.0e-10:
+            break
+        if lo_val * imbalance <= 0.0:
+            c_hi = c_mid
+        else:
+            c_lo = c_mid
+            lo_val = imbalance
+    else:
+        c_mid = 0.5 * (c_lo + c_hi)
+        net_mid, w_top, w_bot = net(c_mid)
+        imbalance = net_mid - external_load
+    return br.AxialEquilibrium(
+        top_clearance=c_mid, bottom_clearance=total_gap - c_mid,
+        top_load=w_top, bottom_load=w_bot, net_load=net_mid,
+        converged=abs(imbalance) <= load_tolerance)
+
+
+GROOVED_15 = SpiralGrooveBearing(groove_depth=15.0e-6)
+PUMP_OUT_36 = SpiralGrooveBearing(groove_depth=36.0e-6, pump_direction="pump-out")
+
+
+@pytest.mark.parametrize("case", ["default", "load-4e-4", "load-6e-4", "pump-out-bottom",
+                                  "symmetric-zero-end", "symmetric-1e-5"])
+def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, case):
+    """Skipping the midpoints whose side the solved bracket tells returns the
+    clearance of a solve at every midpoint, bit for bit, with the same loads
+    to rounding (each face's factor history differs) and fewer solves."""
+    config = default_config()
+    args, options = {
+        "default": ((config.bearing_face("top"), config.bearing_face("bottom"),
+                     config.raw["bearing"]["total_axial_gap_m"],
+                     config.external_axial_load, config.film_state), {}),
+        "load-4e-4": ((GROOVED_15, PUMP_OUT_36, 40.0e-6, 4.0e-4, FILM), {}),
+        "load-6e-4": ((GROOVED_15, PUMP_OUT_36, 40.0e-6, 6.0e-4, FILM), {}),
+        "pump-out-bottom": ((BEARING, SpiralGrooveBearing(pump_direction="pump-out"),
+                             20.0e-6, 0.0, FILM), {"scan_points": 9}),
+        # the imbalance is exactly 0 at the scan point c_top = 10 um
+        "symmetric-zero-end": ((BEARING, BEARING, 20.0e-6, 0.0, FILM), {"scan_points": 17}),
+        "symmetric-1e-5": ((BEARING, BEARING, 20.0e-6, 1.0e-5, FILM), {"scan_points": 17}),
+    }[case]
+    solves = count_calls(monkeypatch, "solve_reynolds")
+    if case == "pump-out-bottom":
+        with pytest.raises(br.NoEquilibriumError) as expected:
+            bisected_equilibrium(*args, **options)
+        with pytest.raises(br.NoEquilibriumError) as raised:
+            br.axial_equilibrium(*args, **options)
+        assert str(raised.value) == str(expected.value)
+        return
+    expected = bisected_equilibrium(*args, **options)
+    bisected_solves = len(solves)
+    eq = br.axial_equilibrium(*args, **options)
+    skipping_solves = len(solves) - bisected_solves
+    assert eq.top_clearance == expected.top_clearance
+    assert eq.bottom_clearance == expected.bottom_clearance
+    assert eq.converged == expected.converged
+    assert eq.top_load == pytest.approx(expected.top_load, rel=1e-12, abs=0.0)
+    assert eq.bottom_load == pytest.approx(expected.bottom_load, rel=1e-12, abs=0.0)
+    assert skipping_solves < bisected_solves
+    if case == "symmetric-zero-end":
+        assert bisected_solves == 48
+        assert skipping_solves <= 24
