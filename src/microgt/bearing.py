@@ -70,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gas import AIR_VISCOSITY
-from .params import ROOT_MAX_STEPS, Record, SolverError, param
+from .params import Record, SolverError, bracketed_root, param
 
 MIN_RADIAL_NODES = 33  # 32 radial intervals
 MIN_ANGULAR_NODES = 64
@@ -386,11 +386,15 @@ def _coefficients(bearing: SpiralGrooveBearing, film: FilmState,
     scale_y = bearing.groove_count / (2.0 * math.pi)
     v_ends = (np.arange(n_theta + 1) - 0.5) * dv  # face j spans v_ends[j:j+2]
     y_ends = v_ends * scale_y + 0.5 * a_frac
-    m = np.arange(math.floor(y_ends[0]), math.floor(y_ends[-1]) + 2, dtype=float)
-    y_edges = np.column_stack((m, m + a_frac)).ravel()
-    first = np.searchsorted(y_edges, y_ends[:-1], side="right")
-    one_edge = np.searchsorted(y_edges, y_ends[1:], side="left") - first == 1
-    v_e = (y_edges[first] - 0.5 * a_frac) / scale_y
+    # the first two edges above each face's start y_lo; one_edge if only the
+    # first lies inside the face
+    y_lo, y_hi = y_ends[:-1], y_ends[1:]
+    m = np.floor(y_lo)
+    past_a = m + a_frac > y_lo
+    e1 = np.where(past_a, m + a_frac, m + 1.0)
+    e2 = np.where(past_a, m + 1.0, m + 1.0 + a_frac)
+    one_edge = (e1 < y_hi) & (e2 >= y_hi)
+    v_e = (e1 - 0.5 * a_frac) / scale_y
     # 0 edges: uniform path; >1 edges (under-resolved stripes): keep the
     # midpoint split, which degrades gracefully to first order.
     len_left = np.where(one_edge, v_e - v_ends[:-1], 0.5 * dv)
@@ -770,34 +774,9 @@ def axial_stiffness(bearing: SpiralGrooveBearing, film: FilmState,
     return -(load_hi - load_lo) / (2.0 * dc)
 
 
-def _illinois_brackets(f, lo, hi, f_lo, f_hi):
-    """The brackets [lo, hi] of a root of f that the Illinois steps of
-    params.bracketed_root leave, while each step's point lies strictly
-    inside the bracket before it, for ROOT_MAX_STEPS steps at most.  f_lo
-    and f_hi are f(lo) and f(hi), non-zero and of opposite sign; a step to
-    f(x) == 0 leaves [x, x] and is the last.  (A generator shared with
-    bracketed_root would slow its many cheap roots.)
-    """
-    side = 0
-    for _ in range(ROOT_MAX_STEPS):
-        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo < x < hi:
-            return
-        f_x = f(x)
-        if f_x == 0.0:
-            yield x, x
-            return
-        if (f_x > 0.0) == (f_hi > 0.0):
-            hi, f_hi = x, f_x
-            if side == 1:
-                f_lo *= 0.5
-            side = 1
-        else:
-            lo, f_lo = x, f_x
-            if side == -1:
-                f_hi *= 0.5
-            side = -1
-        yield lo, hi
+class _MidpointSided(Exception):
+    """The solved bracket of axial_equilibrium tells the pending midpoint's
+    side, or params.bracketed_root stepped out of it."""
 
 
 def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
@@ -819,10 +798,11 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     load_tolerance, solving a midpoint only where its side is unknown.
     [a, b] is a bracket of the root with both ends solved: the scan cell,
     or one point where an end's imbalance is exactly 0.  A midpoint inside
-    (a, b) narrows it by Illinois steps until it falls outside; then one at
-    or below a takes the c_lo side, one at or above b the c_hi side.  The
-    midpoints of brackets of 1e-10 m or less, whose loads are returned, and
-    those inside (a, b) once the steps stop, are solved.  Assumed: the
+    (a, b) narrows it by the Illinois steps of params.bracketed_root,
+    started afresh from [a, b], until it falls outside; then one at or below
+    a takes the c_lo side, one at or above b the c_hi side.  The midpoints
+    of brackets of 1e-10 m or less, whose loads are returned, and those
+    still inside (a, b) when the steps stop, are solved.  Assumed: the
     imbalance crosses zero once in the scan cell (2.04% of the gap at 48
     scan points), so each side is the one a solve would give.  Were there
     more crossings, the answer would still be a solved root in that cell
@@ -861,21 +841,37 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
         )
 
     clearance_tolerance = 1.0e-10  # m, pins the split well below load noise
-    a, b = c_lo, c_hi
-    if lo_val == 0.0:
+    a, b, f_a, f_b = c_lo, c_hi, lo_val, values[-1]
+    if f_a == 0.0:
         b = a
-    elif values[-1] == 0.0:
+    elif f_b == 0.0:
         a = b
-    # never resumed when a == b, so its zero-residual ends are never stepped
-    narrowing = _illinois_brackets(lambda c: net(c)[0] - external_load,
-                                   a, b, lo_val, values[-1])
+
+    # f of bracketed_root: moves the end of [a, b] on c's side to c, and
+    # stops the steps once c_mid is outside (a, b) or c would be
+    def narrow(c):
+        nonlocal a, b, f_a, f_b
+        if not a < c < b:
+            raise _MidpointSided
+        f_c = net(c)[0] - external_load
+        if f_c == 0.0:
+            a = b = c
+        elif (f_c > 0.0) == (f_b > 0.0):
+            b, f_b = c, f_c
+        else:
+            a, f_a = c, f_c
+        if not a < c_mid < b:
+            raise _MidpointSided
+        return f_c
+
     for _ in range(80):
         c_mid = 0.5 * (c_lo + c_hi)
         if c_hi - c_lo > clearance_tolerance:
             if a < c_mid < b:
-                for a, b in narrowing:
-                    if not a < c_mid < b:
-                        break
+                try:
+                    bracketed_root(narrow, a, b, f_a, f_b, "axial equilibrium")
+                except _MidpointSided:
+                    pass
             if not a < c_mid < b:
                 if c_mid >= b:
                     c_hi = c_mid

@@ -137,7 +137,8 @@ def bracketed_root(f, lo, hi, f_lo, f_hi, what):
     a caller solving many roots on one bracket can hold the parts of them
     that do not change.  They must be finite and of opposite sign (or
     zero), else SolverError names `what`.  Superlinear like Brent's method
-    (Dowell & Jarratt, BIT 11, 1971).
+    (Dowell & Jarratt, BIT 11, 1971).  An exception raised by f leaves at
+    once, unchanged, so a caller can stop the steps from inside f.
     """
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
         raise SolverError(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -275,6 +276,62 @@ def test_reach_colouring_never_needs_more_colours_than_the_box(count, fraction,
     assert n_colours <= box_colours(5, n_theta).max() + 1
     pairs = target.astype(np.int64) * n_colours + colour
     assert np.unique(pairs).size == pairs.size
+
+
+def listed_edge_lengths(bearing, n_theta):
+    """The v-face path lengths of _coefficients as it found the groove edges
+    before: by a search in the list of every edge of the annulus."""
+    dv = 2.0 * math.pi / n_theta
+    a_frac = bearing.groove_width_fraction
+    scale_y = bearing.groove_count / (2.0 * math.pi)
+    v_ends = (np.arange(n_theta + 1) - 0.5) * dv
+    y_ends = v_ends * scale_y + 0.5 * a_frac
+    m = np.arange(math.floor(y_ends[0]), math.floor(y_ends[-1]) + 2, dtype=float)
+    y_edges = np.column_stack((m, m + a_frac)).ravel()
+    first = np.searchsorted(y_edges, y_ends[:-1], side="right")
+    one_edge = np.searchsorted(y_edges, y_ends[1:], side="left") - first == 1
+    v_e = (y_edges[first] - 0.5 * a_frac) / scale_y
+    return (np.where(one_edge, v_e - v_ends[:-1], 0.5 * dv),
+            np.where(one_edge, v_ends[1:] - v_e, 0.5 * dv))
+
+
+def assert_edge_lengths_match_the_list(face, n_theta):
+    co = br._coefficients(face, FILM, 33, n_theta)
+    len_left, len_right = listed_edge_lengths(face, n_theta)
+    assert co.len_left.tobytes() == len_left.tobytes()
+    assert co.len_right.tobytes() == len_right.tobytes()
+
+
+@pytest.mark.parametrize("face", list(KINKED_FACES))
+def test_groove_edges_match_the_listed_edges(face):
+    for n_theta in (64, 80, 96, 192, 800):
+        assert_edge_lengths_match_the_list(KINKED_FACES[face], n_theta)
+
+
+@settings(deadline=None, max_examples=200)
+@given(count=st.integers(4, 400),
+       fraction=st.one_of(st.sampled_from([0.23, 0.25, 0.5]), st.floats(0.01, 0.99)),
+       n_theta=st.integers(br.MIN_ANGULAR_NODES, 800), pitch_multiple=st.booleans())
+def test_groove_edges_match_the_listed_edges_on_random_faces(count, fraction, n_theta,
+                                                             pitch_multiple):
+    if pitch_multiple:  # nodes then sit at the same place in every pitch
+        n_theta = count * max(1, n_theta // count)
+    face = SpiralGrooveBearing(groove_count=count, groove_width_fraction=fraction)
+    assert_edge_lengths_match_the_list(face, n_theta)
+
+
+def test_groove_edges_take_memory_independent_of_the_groove_count():
+    """Validation accepts any groove count of 4 or more; the edge search
+    looks only at the edges next to each face (listing every edge of the
+    annulus peaked at 64 MB at 2e6 grooves)."""
+    face = SpiralGrooveBearing(groove_count=2_000_000)
+    tracemalloc.start()
+    try:
+        br._coefficients(face, FILM, 33, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("face", list(KINKED_FACES))
@@ -679,6 +736,8 @@ def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, c
     assert eq.top_load == pytest.approx(expected.top_load, rel=1e-12, abs=0.0)
     assert eq.bottom_load == pytest.approx(expected.bottom_load, rel=1e-12, abs=0.0)
     assert skipping_solves < bisected_solves
+    assert skipping_solves <= {"default": 30, "load-4e-4": 36, "load-6e-4": 34,
+                               "symmetric-zero-end": 20, "symmetric-1e-5": 26}[case]
     if case == "symmetric-zero-end":
         assert bisected_solves == 48
         assert skipping_solves <= 24

@@ -146,6 +146,27 @@ def test_bracketed_root_rejects_a_non_finite_end():
                        math.nan, 1.0, "test")
 
 
+def test_bracketed_root_lets_an_exception_of_f_through_at_once():
+    """axial_equilibrium stops the steps from inside f: f is not called
+    again, and its exception reaches the caller unchanged."""
+    class Stop(Exception):
+        pass
+
+    stop = Stop("enough")
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        if len(calls) == 2:
+            raise stop
+        return x ** 3 - 2.0
+
+    with pytest.raises(Stop) as raised:
+        bracketed_root(f, 0.0, 2.0, -2.0, 6.0, "cube root")
+    assert raised.value is stop and raised.value.__cause__ is None
+    assert len(calls) == 2
+
+
 def test_exit_temperature_outside_bracket_raises_instead_of_clamping():
     # A stoichiometric flame from a 1500 K inlet burns above the 3400 K end of
     # the exit-temperature bracket; it must raise, not clamp to the bound.
