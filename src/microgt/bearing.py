@@ -774,9 +774,8 @@ def axial_stiffness(bearing: SpiralGrooveBearing, film: FilmState,
     return -(load_hi - load_lo) / (2.0 * dc)
 
 
-class _MidpointSided(Exception):
-    """The solved bracket of axial_equilibrium tells the pending midpoint's
-    side, or params.bracketed_root stepped out of it."""
+class _BracketNarrowed(Exception):
+    """The solved bracket of axial_equilibrium is 1e-10 m wide or less."""
 
 
 def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
@@ -796,19 +795,18 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     Scans c_top for a sign change of the imbalance, then bisects the scan
     cell to a 1e-10 m bracket with |net_load - external_load| <=
     load_tolerance, solving a midpoint only where its side is unknown.
-    [a, b] is a bracket of the root with both ends solved: the scan cell,
-    or one point where an end's imbalance is exactly 0.  A midpoint inside
-    (a, b) narrows it by the Illinois steps of params.bracketed_root,
-    started afresh from [a, b], until it falls outside; then one at or below
-    a takes the c_lo side, one at or above b the c_hi side.  The midpoints
-    of brackets of 1e-10 m or less, whose loads are returned, and those
-    still inside (a, b) when the steps stop, are solved.  Assumed: the
-    imbalance crosses zero once in the scan cell (2.04% of the gap at 48
-    scan points), so each side is the one a solve would give.  Were there
-    more crossings, the answer would still be a solved root in that cell
-    to 1e-10 m, perhaps not the crossing plain bisection picks.  Every film
-    is solved on EQUILIBRIUM_GRID, and each face's solves refine against
-    the factor its previous solves left.
+    Before the bisection, the Illinois steps of params.bracketed_root narrow
+    [a, b], the scan cell (or one point where an end's imbalance is exactly
+    0), to 1e-10 m with both ends solved.  A midpoint of a wider bracket at
+    or below a takes the c_lo side, one at or above b the c_hi side; the
+    others, and the midpoints of brackets of 1e-10 m or less, whose loads
+    are returned, are solved.  Assumed: the imbalance crosses zero once in
+    the scan cell (2.04% of the gap at 48 scan points), so each side is the
+    one a solve would give.  Were there more crossings, the answer would
+    still be a solved root in that cell to 1e-10 m, perhaps not the
+    crossing plain bisection picks.  Every film is solved on
+    EQUILIBRIUM_GRID, and each face's solves refine against the factor its
+    previous solves left.
     """
     if total_gap <= 0.0:
         raise ValueError("total_gap must be positive")
@@ -848,11 +846,9 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
         a = b
 
     # f of bracketed_root: moves the end of [a, b] on c's side to c, and
-    # stops the steps once c_mid is outside (a, b) or c would be
+    # stops the steps once [a, b] is as narrow as the bisection's last bracket
     def narrow(c):
         nonlocal a, b, f_a, f_b
-        if not a < c < b:
-            raise _MidpointSided
         f_c = net(c)[0] - external_load
         if f_c == 0.0:
             a = b = c
@@ -860,24 +856,22 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
             b, f_b = c, f_c
         else:
             a, f_a = c, f_c
-        if not a < c_mid < b:
-            raise _MidpointSided
+        if b - a <= clearance_tolerance:
+            raise _BracketNarrowed
         return f_c
 
+    try:
+        bracketed_root(narrow, a, b, f_a, f_b, "axial equilibrium")
+    except _BracketNarrowed:
+        pass
     for _ in range(80):
         c_mid = 0.5 * (c_lo + c_hi)
-        if c_hi - c_lo > clearance_tolerance:
-            if a < c_mid < b:
-                try:
-                    bracketed_root(narrow, a, b, f_a, f_b, "axial equilibrium")
-                except _MidpointSided:
-                    pass
-            if not a < c_mid < b:
-                if c_mid >= b:
-                    c_hi = c_mid
-                else:
-                    c_lo = c_mid
-                continue
+        if c_hi - c_lo > clearance_tolerance and not a < c_mid < b:
+            if c_mid >= b:
+                c_hi = c_mid
+            else:
+                c_lo = c_mid
+            continue
         net_mid, w_top, w_bot = net(c_mid)
         imbalance = net_mid - external_load
         if abs(imbalance) <= load_tolerance and (c_hi - c_lo) <= clearance_tolerance:

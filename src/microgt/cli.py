@@ -244,10 +244,11 @@ def run_bearing(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
                 f"angular cells at n_theta = {cols} ({rows}x{cols} grid), so the "
                 f"groove-edge treatment falls back to first order")
     check_regime(top, film)
+    top_load = br.load_capacity(field)
     load_rows = []
     for f in films:
         if f == film:  # solved above for field.csv
-            load = br.load_capacity(field)
+            load = top_load
         else:
             check_regime(top, f)
             load = br.solve_load(top, f, n_r, n_theta, factor)
@@ -258,7 +259,7 @@ def run_bearing(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
         ["clearance_m", "rpm", "load_N", "stiffness_N_per_m"], load_rows)
 
     bundle.summary.append(
-        f"bearing: top load {load_rows[0][2]:.4e} N at "
+        f"bearing: top load {top_load:.4e} N at "
         f"{film.nominal_clearance * 1e6:.1f} um clearance")
     try:
         equilibrium = br.axial_equilibrium(

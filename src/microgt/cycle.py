@@ -74,8 +74,6 @@ def compress(inlet: GasState, pressure_ratio: float, eta_compressor: float,
         raise ValueError(f"eta_compressor must be positive, got {eta_compressor}")
     if pressure_ratio < 1.0:
         raise ValueError(f"pressure_ratio must be >= 1, got {pressure_ratio}")
-    if pressure_ratio == 1.0:
-        return inlet, 0.0
     t2s = _isentropic_temperature(inlet.temperature, pressure_ratio,
                                   inlet.composition, props)
     t2 = inlet.temperature + (t2s - inlet.temperature) / eta_compressor
@@ -94,8 +92,6 @@ def expand(inlet: GasState, exit_pressure: float, eta_turbine: float,
         raise ValueError(
             f"exit pressure {exit_pressure} exceeds inlet pressure {inlet.pressure}"
         )
-    if exit_pressure == inlet.pressure:
-        return inlet, 0.0
     t4s = _isentropic_temperature(inlet.temperature, exit_pressure / inlet.pressure,
                                   inlet.composition, props)
     t4 = inlet.temperature - eta_turbine * (inlet.temperature - t4s)

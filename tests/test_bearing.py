@@ -699,17 +699,29 @@ GROOVED_15 = SpiralGrooveBearing(groove_depth=15.0e-6)
 PUMP_OUT_36 = SpiralGrooveBearing(groove_depth=36.0e-6, pump_direction="pump-out")
 
 
-@pytest.mark.parametrize("case", ["default", "load-4e-4", "load-6e-4", "pump-out-bottom",
-                                  "symmetric-zero-end", "symmetric-1e-5"])
-def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, case):
-    """Skipping the midpoints whose side the solved bracket tells returns the
-    clearance of a solve at every midpoint, bit for bit, with the same loads
-    to rounding (each face's factor history differs) and fewer solves."""
+def equilibrium_args(config):
+    """The positional arguments of axial_equilibrium that `run bearing` passes."""
+    return (config.bearing_face("top"), config.bearing_face("bottom"),
+            config.raw["bearing"]["total_axial_gap_m"], config.external_axial_load,
+            config.film_state)
+
+
+def engine_study_9():
+    """The bearing of the engine_run_all benchmark's seed-0 study 9."""
     config = default_config()
-    args, options = {
-        "default": ((config.bearing_face("top"), config.bearing_face("bottom"),
-                     config.raw["bearing"]["total_axial_gap_m"],
-                     config.external_axial_load, config.film_state), {}),
+    for key, value in (("top_groove_depth_m", 1.550815505310898e-05),
+                       ("bottom_groove_depth_m", 3.904807402851145e-05),
+                       ("nominal_clearance_m", 5.067091992883573e-06),
+                       ("rpm", 16455.203311907004),
+                       ("total_axial_gap_m", 3.788106106855582e-05)):
+        config = config.with_value("bearing", key, value)
+    return config
+
+
+def equilibrium_case(case):
+    """(args, options) of axial_equilibrium for a named case."""
+    return {
+        "default": (equilibrium_args(default_config()), {}),
         "load-4e-4": ((GROOVED_15, PUMP_OUT_36, 40.0e-6, 4.0e-4, FILM), {}),
         "load-6e-4": ((GROOVED_15, PUMP_OUT_36, 40.0e-6, 6.0e-4, FILM), {}),
         "pump-out-bottom": ((BEARING, SpiralGrooveBearing(pump_direction="pump-out"),
@@ -717,7 +729,18 @@ def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, c
         # the imbalance is exactly 0 at the scan point c_top = 10 um
         "symmetric-zero-end": ((BEARING, BEARING, 20.0e-6, 0.0, FILM), {"scan_points": 17}),
         "symmetric-1e-5": ((BEARING, BEARING, 20.0e-6, 1.0e-5, FILM), {"scan_points": 17}),
+        # the one Illinois run takes more steps here than restarts per level did
+        "engine-0-9": (equilibrium_args(engine_study_9()), {}),
     }[case]
+
+
+@pytest.mark.parametrize("case", ["default", "load-4e-4", "load-6e-4", "pump-out-bottom",
+                                  "symmetric-zero-end", "symmetric-1e-5", "engine-0-9"])
+def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, case):
+    """Skipping the midpoints whose side the solved bracket tells returns the
+    clearance of a solve at every midpoint, bit for bit, with the same loads
+    to rounding (each face's factor history differs) and fewer solves."""
+    args, options = equilibrium_case(case)
     solves = count_calls(monkeypatch, "solve_reynolds")
     if case == "pump-out-bottom":
         with pytest.raises(br.NoEquilibriumError) as expected:
@@ -737,7 +760,33 @@ def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, c
     assert eq.bottom_load == pytest.approx(expected.bottom_load, rel=1e-12, abs=0.0)
     assert skipping_solves < bisected_solves
     assert skipping_solves <= {"default": 30, "load-4e-4": 36, "load-6e-4": 34,
-                               "symmetric-zero-end": 20, "symmetric-1e-5": 26}[case]
+                               "symmetric-zero-end": 20, "symmetric-1e-5": 26,
+                               "engine-0-9": 38}[case]
     if case == "symmetric-zero-end":
         assert bisected_solves == 48
         assert skipping_solves <= 24
+
+
+@pytest.mark.parametrize("case", ["default", "engine-0-9", "symmetric-zero-end"])
+def test_equilibrium_narrows_its_bracket_in_one_root_run(monkeypatch, case):
+    """The Illinois steps run once, before the bisection, and not once per
+    bisection level; an exactly balanced scan point (the symmetric pair)
+    returns from that run without a step."""
+    runs, steps = [], []
+    original = br.bracketed_root
+
+    def counted(f, *rest):
+        runs.append(rest)
+
+        def step(c):
+            steps.append(c)
+            return f(c)
+
+        return original(step, *rest)
+
+    monkeypatch.setattr(br, "bracketed_root", counted)
+    args, options = equilibrium_case(case)
+    eq = br.axial_equilibrium(*args, **options)
+    assert eq.converged
+    assert len(runs) == 1
+    assert (len(steps) == 0) == (case == "symmetric-zero-end")

@@ -414,21 +414,30 @@ def test_run_turbine_sweep_is_the_operating_line_of_its_range(tmp_path):
 
 
 def test_run_bearing_sweep_solves_each_film(tmp_path):
+    # the sweep starts below the base 5 um film, whose load the summary states
     cfg = tmp_path / "cfg"
     cfg.write_text(DEFAULT_CONFIG.replace("grid_radial_nodes = 65", "grid_radial_nodes = 33")
                    .replace("grid_angular_nodes = 96", "grid_angular_nodes = 64"))
-    out = tmp_path / "out"
+    out, base = tmp_path / "out", tmp_path / "base"
     assert cli.main(["run", "bearing", "--config", str(cfg), "--out", str(out),
-                     "--sweep", "nominal_clearance_m=5e-6:7e-6:3"]) == 0
+                     "--sweep", "nominal_clearance_m=4e-6:6e-6:2"]) == 0
     top, film = default_config().bearing_face("top"), default_config().film_state
     _, *rows = (out / "loadmap.csv").read_text().splitlines()
-    assert len(rows) == 3
-    for row, clearance in zip(rows, (5e-6, 6e-6, 7e-6)):
+    assert len(rows) == 2
+    for row, clearance in zip(rows, (4e-6, 6e-6)):
         f = replace(film, nominal_clearance=clearance)
         expected = [clearance, film.rpm, br.solve_load(top, f, 33, 64),
                     br.axial_stiffness(top, f, 33, 64)]
         assert [float(v) for v in row.split(",")] == pytest.approx(
             expected, rel=1e-8, abs=0.0)
+    assert cli.main(["run", "bearing", "--config", str(cfg), "--out", str(base)]) == 0
+
+    def top_load_line(path):
+        lines = (path / "summary.txt").read_text().splitlines()
+        return [line for line in lines if line.startswith("bearing: top load")]
+
+    assert len(top_load_line(base)) == 1
+    assert top_load_line(out) == top_load_line(base)
 
 
 def test_run_rejects_unreadable_config(tmp_path, capsys):
