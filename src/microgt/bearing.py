@@ -689,26 +689,23 @@ def load_capacity(field: PressureField) -> float:
     Rectangle rule along each periodic angular row; across rows the area
     element r dr = r_in^2 exp(2u) du is integrated against piecewise-linear
     nodal weights in closed form, so a field with uniform gauge pressure
-    integrates to exactly gauge * annulus area.
+    integrates to exactly gauge * annulus area.  On [a, b], with w = b - a,
+    node b weighs (e^2b (2w - 1) + e^2a) / 4w and node a the rest of
+    (e^2b - e^2a) / 2.
     """
     gauge = field.pressures - field.ambient_pressure
     row_mean = gauge.mean(axis=1)
 
     r_in = field.radii[0]
     u = np.log(field.radii / r_in)
-
-    def ramp_up(a, b):
-        # integral of exp(2u) (u - a)/(b - a) over [a, b]
-        return (math.exp(2.0 * b) * (2.0 * (b - a) - 1.0) + math.exp(2.0 * a)) \
-            / (4.0 * (b - a))
-
+    # math.exp, not np.exp: numpy's SIMD exp can differ in the last bit, and
+    # the loads are pinned to theirs
+    e = np.fromiter(map(math.exp, 2.0 * u), float, u.size)
+    w = np.diff(u)
+    rise = (e[1:] * (2.0 * w - 1.0) + e[:-1]) / (4.0 * w)
     weights = np.zeros_like(u)
-    for i in range(u.size - 1):
-        a, b = u[i], u[i + 1]
-        total = (math.exp(2.0 * b) - math.exp(2.0 * a)) / 2.0
-        rise = ramp_up(a, b)
-        weights[i + 1] += rise
-        weights[i] += total - rise
+    weights[1:] += rise
+    weights[:-1] += (e[1:] - e[:-1]) / 2.0 - rise
     return float(2.0 * math.pi * r_in ** 2 * np.dot(weights, row_mean))
 
 

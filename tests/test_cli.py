@@ -414,30 +414,31 @@ def test_run_turbine_sweep_is_the_operating_line_of_its_range(tmp_path):
 
 
 def test_run_bearing_sweep_solves_each_film(tmp_path):
-    # the sweep starts below the base 5 um film, whose load the summary states
-    cfg = tmp_path / "cfg"
-    cfg.write_text(DEFAULT_CONFIG.replace("grid_radial_nodes = 65", "grid_radial_nodes = 33")
-                   .replace("grid_angular_nodes = 96", "grid_angular_nodes = 64"))
-    out, base = tmp_path / "out", tmp_path / "base"
-    assert cli.main(["run", "bearing", "--config", str(cfg), "--out", str(out),
-                     "--sweep", "nominal_clearance_m=4e-6:6e-6:2"]) == 0
-    top, film = default_config().bearing_face("top"), default_config().film_state
-    _, *rows = (out / "loadmap.csv").read_text().splitlines()
-    assert len(rows) == 2
-    for row, clearance in zip(rows, (4e-6, 6e-6)):
-        f = replace(film, nominal_clearance=clearance)
-        expected = [clearance, film.rpm, br.solve_load(top, f, 33, 64),
-                    br.axial_stiffness(top, f, 33, 64)]
-        assert [float(v) for v in row.split(",")] == pytest.approx(
-            expected, rel=1e-8, abs=0.0)
-    assert cli.main(["run", "bearing", "--config", str(cfg), "--out", str(base)]) == 0
+    """Each loadmap.csv row of a sweep is the row of a run without a sweep
+    at the same float film.  The middle point is 4.9999999999999996e-06,
+    not the base 5 um film, because sweep points are interpolated; the
+    summary states the base film's load."""
+    grid = (DEFAULT_CONFIG.replace("grid_radial_nodes = 65", "grid_radial_nodes = 33")
+            .replace("grid_angular_nodes = 96", "grid_angular_nodes = 64"))
 
-    def top_load_line(path):
-        lines = (path / "summary.txt").read_text().splitlines()
-        return [line for line in lines if line.startswith("bearing: top load")]
+    def run(name, clearance=None, sweep=()):
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / name
+        text = grid if clearance is None else grid.replace(
+            "nominal_clearance_m = 5e-06", f"nominal_clearance_m = {clearance!r}")
+        cfg.write_text(text)
+        assert cli.main(["run", "bearing", "--config", str(cfg), "--out", str(out),
+                         *sweep]) == 0
+        _, *rows = (out / "loadmap.csv").read_text().splitlines()
+        lines = (out / "summary.txt").read_text().splitlines()
+        return rows, [line for line in lines if line.startswith("bearing: top load")]
 
-    assert len(top_load_line(base)) == 1
-    assert top_load_line(out) == top_load_line(base)
+    rows, top_load = run("swept", sweep=["--sweep", "nominal_clearance_m=4e-6:6e-6:3"])
+    points = cli._points(4e-6, 6e-6, 3)
+    assert 5e-6 not in points
+    assert rows == [run(f"at-{i}", point)[0][0] for i, point in enumerate(points)]
+    _, base_top_load = run("base")
+    assert len(base_top_load) == 1
+    assert top_load == base_top_load
 
 
 def test_run_rejects_unreadable_config(tmp_path, capsys):
