@@ -55,8 +55,9 @@ axial_equilibrium.  scipy is imported only where a Jacobian is built or
 factored, so a process that solves no Reynolds equation never loads it.
 
 The narrow-groove (infinite-groove-number) reference evaluates the
-classical effective-medium solution in the incompressible limit and serves
-as an independent cross-check on the numerical load.
+classical effective-medium solution in the incompressible limit.  It
+serves as an independent cross-check on the numerical load and picks where
+axial_equilibrium's scan starts.
 """
 
 from __future__ import annotations
@@ -728,9 +729,15 @@ def narrow_groove_reference(bearing: SpiralGrooveBearing, film: FilmState) -> fl
         warnings.warn(
             f"narrow-groove theory assumes many grooves; count = "
             f"{bearing.groove_count} is below 12", stacklevel=2)
+    return _narrow_groove_load(bearing, film, film.nominal_clearance)
+
+
+def _narrow_groove_load(bearing: SpiralGrooveBearing, film: FilmState, clearance):
+    """narrow_groove_reference at a land clearance (a float or an array)
+    in place of film's, without the groove-count warning."""
     a = bearing.groove_width_fraction
-    h1 = film.nominal_clearance
-    h2 = film.nominal_clearance + bearing.groove_depth
+    h1 = clearance
+    h2 = clearance + bearing.groove_depth
     k_par = (1.0 - a) * h1 ** 3 + a * h2 ** 3
     k_ser = 1.0 / ((1.0 - a) / h1 ** 3 + a / h2 ** 3)
     h_t = (1.0 - a) * h1 + a * h2
@@ -789,7 +796,21 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     against the pair, e.g. drive-gas lift of magnitude rotor weight).  Both
     faces run film with its clearance replaced by their own.
 
-    Scans c_top for a sign change of the imbalance, then bisects the scan
+    The scan grid is scan_points evenly spaced c_top from 2% to 98% of the
+    gap, and a scan cell is two neighbours whose imbalances have a product
+    <= 0.  The narrow-groove model (narrow_groove_reference, without its
+    groove-count warning) costs microseconds and picks where to look.
+    sigma is the sign of its imbalance, W_NGT,top(c) - W_NGT,bot(gap - c)
+    - external_load, at the first point, and the seed is the first later
+    point where sigma times the model is <= 0 (the second point if none
+    is).  If sigma times the solved imbalance is > 0 at the seed, the scan
+    walks up to the first point where it is <= 0; otherwise down to the
+    first where it is > 0.  If the walk leaves the grid, the cell is the
+    first from the low end, every solved point reused, and
+    NoEquilibriumError is raised only once every point is solved.  With
+    one sign change on the grid the walk ends in the cell that a scan up
+    from the low end finds; with several, in the first it meets, perhaps
+    not the first from the low end.  Then it bisects the scan
     cell to a 1e-10 m bracket with |net_load - external_load| <=
     load_tolerance, solving a midpoint only where its side is unknown.
     Before the bisection, the Illinois steps of params.bracketed_root narrow
@@ -817,26 +838,39 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
         return w_top - w_bot, w_top, w_bot
 
     lo_frac, hi_frac = 0.02, 0.98
-    fractions = np.linspace(lo_frac, hi_frac, scan_points)
-    values = []
-    c_lo = c_hi = None
-    for frac in fractions:
-        imbalance = net(frac * total_gap)[0] - external_load
-        values.append(imbalance)
-        if len(values) > 1 and values[-2] * values[-1] <= 0.0:
-            c_lo = fractions[len(values) - 2] * total_gap
-            c_hi = frac * total_gap
-            lo_val = values[-2]
-            break
-    if c_lo is None:
-        raise NoEquilibriumError(
-            f"no sign change of the axial imbalance over c_top in "
-            f"[{lo_frac * total_gap:.3e}, {hi_frac * total_gap:.3e}] m; "
-            f"endpoint imbalances {values[0]:.3e} N and {values[-1]:.3e} N"
-        )
+    c_scan = np.linspace(lo_frac, hi_frac, scan_points) * total_gap
+    solved = {}
+
+    def scan_value(i):
+        if i not in solved:
+            solved[i] = net(c_scan[i])[0] - external_load
+        return solved[i]
+
+    with np.errstate(all="ignore"):  # a model that overflows only moves the seed
+        model = (_narrow_groove_load(top, film, c_scan)
+                 - _narrow_groove_load(bottom, film, total_gap - c_scan) - external_load)
+        sigma = np.sign(model[0])
+        crossed = np.flatnonzero(sigma * model[1:] <= 0.0)
+    i = crossed[0] + 1 if crossed.size else min(1, scan_points - 1)
+    up = sigma * scan_value(i) > 0.0
+    while 0 <= i < scan_points and (sigma * scan_value(i) > 0.0) == up:
+        i += 1 if up else -1
+    if 0 <= i < scan_points:
+        lo, hi = (i - 1, i) if up else (i, i + 1)
+    else:
+        lo = next((j for j in range(scan_points - 1)
+                   if scan_value(j) * scan_value(j + 1) <= 0.0), None)
+        if lo is None:
+            raise NoEquilibriumError(
+                f"no sign change of the axial imbalance over c_top in "
+                f"[{lo_frac * total_gap:.3e}, {hi_frac * total_gap:.3e}] m; "
+                f"endpoint imbalances {solved[0]:.3e} N and {solved[scan_points - 1]:.3e} N"
+            )
+        hi = lo + 1
+    c_lo, c_hi, lo_val = c_scan[lo], c_scan[hi], solved[lo]
 
     clearance_tolerance = 1.0e-10  # m, pins the split well below load noise
-    a, b, f_a, f_b = c_lo, c_hi, lo_val, values[-1]
+    a, b, f_a, f_b = c_lo, c_hi, lo_val, solved[hi]
     if f_a == 0.0:
         b = a
     elif f_b == 0.0:

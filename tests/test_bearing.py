@@ -225,6 +225,8 @@ def test_equilibrium_reports_missing_root():
     bottom = SpiralGrooveBearing(groove_depth=36.0e-6, pump_direction="pump-out")
     with pytest.raises(br.NoEquilibriumError):
         br.axial_equilibrium(top, bottom, 40.0e-6, 1.0e6, FILM, scan_points=9)
+    with pytest.raises(br.NoEquilibriumError):  # one point brackets nothing
+        br.axial_equilibrium(top, bottom, 40.0e-6, 4.0e-4, FILM, scan_points=1)
 
 
 def test_solver_rejects_coarse_grids():
@@ -768,6 +770,8 @@ def bisected_equilibrium(top, bottom, total_gap, external_load, film,
 
 GROOVED_15 = SpiralGrooveBearing(groove_depth=15.0e-6)
 PUMP_OUT_36 = SpiralGrooveBearing(groove_depth=36.0e-6, pump_direction="pump-out")
+DEEP_36 = SpiralGrooveBearing(groove_depth=36.0e-6)
+SHALLOW_PUMP_OUT_3 = SpiralGrooveBearing(groove_depth=3.0e-6, pump_direction="pump-out")
 
 
 def equilibrium_args(config):
@@ -802,15 +806,24 @@ def equilibrium_case(case):
         "symmetric-1e-5": ((BEARING, BEARING, 20.0e-6, 1.0e-5, FILM), {"scan_points": 17}),
         # the one Illinois run takes more steps here than restarts per level did
         "engine-0-9": (equilibrium_args(engine_study_9()), {}),
+        # below 12 grooves, where narrow_groove_reference warns
+        "grooves-8": (equilibrium_args(default_config().with_value(
+            "bearing", "groove_count", 8)), {}),
+        # the narrow-groove imbalance is positive at the low end of the scan
+        # and the 2D one negative; the 2D root is near the high end
+        "model-sign-wrong": ((DEEP_36, SHALLOW_PUMP_OUT_3, 40.0e-6, 9.0e-4, FILM),
+                             {"scan_points": 9}),
     }[case]
 
 
 @pytest.mark.parametrize("case", ["default", "load-4e-4", "load-6e-4", "pump-out-bottom",
-                                  "symmetric-zero-end", "symmetric-1e-5", "engine-0-9"])
+                                  "symmetric-zero-end", "symmetric-1e-5", "engine-0-9",
+                                  "grooves-8", "model-sign-wrong"])
 def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, case):
-    """Skipping the midpoints whose side the solved bracket tells returns the
-    clearance of a solve at every midpoint, bit for bit, with the same loads
-    to rounding (each face's factor history differs) and fewer solves."""
+    """Seeding the scan from the narrow-groove model and skipping the
+    midpoints whose side the solved bracket tells return the clearance of the
+    low-end scan with a solve at every midpoint, bit for bit, with the same
+    loads to rounding (each face's factor history differs) and fewer solves."""
     args, options = equilibrium_case(case)
     solves = count_calls(monkeypatch, "solve_reynolds")
     if case == "pump-out-bottom":
@@ -819,6 +832,7 @@ def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, c
         with pytest.raises(br.NoEquilibriumError) as raised:
             br.axial_equilibrium(*args, **options)
         assert str(raised.value) == str(expected.value)
+        assert len(solves) == 2 * 2 * 9  # both faces at every scan point, twice
         return
     expected = bisected_equilibrium(*args, **options)
     bisected_solves = len(solves)
@@ -830,12 +844,26 @@ def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, c
     assert eq.top_load == pytest.approx(expected.top_load, rel=1e-12, abs=0.0)
     assert eq.bottom_load == pytest.approx(expected.bottom_load, rel=1e-12, abs=0.0)
     assert skipping_solves < bisected_solves
-    assert skipping_solves <= {"default": 30, "load-4e-4": 36, "load-6e-4": 34,
-                               "symmetric-zero-end": 20, "symmetric-1e-5": 26,
-                               "engine-0-9": 38}[case]
+    assert skipping_solves <= {"default": 16, "load-4e-4": 18, "load-6e-4": 22,
+                               "symmetric-zero-end": 6, "symmetric-1e-5": 12,
+                               "engine-0-9": 18, "grooves-8": 20,
+                               "model-sign-wrong": 44}[case]
     if case == "symmetric-zero-end":
         assert bisected_solves == 48
-        assert skipping_solves <= 24
+
+
+def test_equilibrium_model_sign_wrong_case_disagrees_at_the_low_end():
+    """The premise of the "model-sign-wrong" case: at the first scan point the
+    narrow-groove imbalance is positive and the 2D one negative, so the walk
+    from the model's seed leaves the grid and the low-end scan picks the cell."""
+    (top, bottom, gap, external_load, film), _ = equilibrium_case("model-sign-wrong")
+    c_top = 0.02 * gap
+    model = (br._narrow_groove_load(top, film, c_top)
+             - br._narrow_groove_load(bottom, film, gap - c_top) - external_load)
+    solved = (br.solve_load(top, replace(film, nominal_clearance=c_top), *br.EQUILIBRIUM_GRID)
+              - br.solve_load(bottom, replace(film, nominal_clearance=gap - c_top),
+                              *br.EQUILIBRIUM_GRID) - external_load)
+    assert model > 0.0 > solved
 
 
 @pytest.mark.parametrize("case", ["default", "engine-0-9", "symmetric-zero-end"])

@@ -216,10 +216,11 @@ def test_run_bearing_solves_each_film_once(tmp_path, monkeypatch):
 
 def test_run_all_factorisations(tmp_path, monkeypatch):
     """Neighbouring solves share their Jacobian factors: the default run all
-    factors 15 times for its 33 Reynolds solves (37 when every Newton step
-    factored).  The axial equilibrium solves 30 of them: the bisection
-    midpoints whose side the solved bracket tells take no solve (51 solves
-    when every midpoint was solved)."""
+    factors 6 times for its 19 Reynolds solves (15 and 33 when the
+    equilibrium's scan started at the low end).  The axial equilibrium
+    solves 16 of them: its scan starts at the narrow-groove model's
+    crossing, and the bisection midpoints whose side the solved bracket
+    tells take no solve (51 solves when every midpoint was solved)."""
     counts = {"splu": 0, "solve_reynolds": 0}
 
     def counting(name):
@@ -233,8 +234,26 @@ def test_run_all_factorisations(tmp_path, monkeypatch):
     for name in counts:
         monkeypatch.setattr(br, name, counting(name))
     assert cli.main(["run", "all", "--out", str(tmp_path / "out")]) == 0
-    assert counts["splu"] <= 16
-    assert counts["solve_reynolds"] <= 36
+    assert counts["splu"] <= 7
+    assert counts["solve_reynolds"] <= 20
+
+
+def test_run_bearing_finds_a_high_viscosity_equilibrium(tmp_path, capsys):
+    """A viscous film whose root lies inside the verified range: the scan's
+    low end, c_top = 0.8 um at a compressibility number of about 2500, stalls
+    Newton from q = 1, and the equilibrium starts at the narrow-groove
+    model's crossing instead, so it never solves that film."""
+    cfg = tmp_path / "cfg"
+    cfg.write_text(_with("viscosity_pa_s", "3.6e-3").replace(
+        "external_axial_load_n = auto", "external_axial_load_n = 0.12"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "bearing", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert ("bearing: axial equilibrium clearances top 7.85 um / bottom 32.15 um "
+            "(converged=True)") in summary
+    assert summary[-1] == ("warning: bearing: compressibility number 64.8 at 5.00 um "
+                           "clearance is above 30, outside the verified range")
+    assert capsys.readouterr().err.splitlines() == summary[-1:]
 
 
 def test_run_bearing_warns_outside_verified_lambda(tmp_path, capsys):
@@ -500,9 +519,10 @@ def test_run_rejects_out_of_bound_sweep_value(tmp_path, capsys, subcommand, swee
 
 
 # in-bounds values whose arithmetic fails: an exponential overflow, three
-# divisions by an underflowed zero, a singular Reynolds Jacobian and two
-# turbine flows whose power overflows to inf and nan; numpy warns of the
-# overflows on the way.  The error line starts with the failed stage.
+# divisions by an underflowed zero, a groove depth whose starting Reynolds
+# residual is not finite and two turbine flows whose power overflows to inf
+# and nan; numpy warns of the overflows on the way.  The error line starts
+# with the failed stage.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("key, value, start", [
     pytest.param(key, value, start, id=f"{key}-{value}") for key, value, start in [
