@@ -168,6 +168,7 @@ class AxialEquilibrium:
     bottom_load: float  # N
     net_load: float  # N, top minus bottom
     converged: bool
+    stable: bool  # the imbalance falls across the solved scan cell as c_top rises
 
 
 def signed_spiral_tangent(bearing: SpiralGrooveBearing) -> float:
@@ -814,8 +815,9 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     cell to a 1e-10 m bracket with |net_load - external_load| <=
     load_tolerance, solving a midpoint only where its side is unknown.
     Before the bisection, the Illinois steps of params.bracketed_root narrow
-    [a, b], the scan cell (or one point where an end's imbalance is exactly
-    0), to 1e-10 m with both ends solved.  A midpoint of a wider bracket at
+    [a, b], the scan cell, to 1e-10 m with both ends solved; should
+    bracketed_root return first, at an end or iterate whose imbalance is
+    exactly 0, [a, b] is that one point.  A midpoint of a wider bracket at
     or below a takes the c_lo side, one at or above b the c_hi side; the
     others, and the midpoints of brackets of 1e-10 m or less, whose loads
     are returned, are solved.  Assumed: the imbalance crosses zero once in
@@ -824,7 +826,9 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     still be a solved root in that cell to 1e-10 m, perhaps not the
     crossing plain bisection picks.  Every film is solved on
     EQUILIBRIUM_GRID, and each face's solves refine against the factor its
-    previous solves left.
+    previous solves left.  stable is whether the imbalance falls from the
+    low end of the scan cell to its high end, so that a push toward either
+    face meets a restoring force; it takes no solve.
     """
     if total_gap <= 0.0:
         raise ValueError("total_gap must be positive")
@@ -871,19 +875,13 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
 
     clearance_tolerance = 1.0e-10  # m, pins the split well below load noise
     a, b, f_a, f_b = c_lo, c_hi, lo_val, solved[hi]
-    if f_a == 0.0:
-        b = a
-    elif f_b == 0.0:
-        a = b
 
     # f of bracketed_root: moves the end of [a, b] on c's side to c, and
     # stops the steps once [a, b] is as narrow as the bisection's last bracket
     def narrow(c):
         nonlocal a, b, f_a, f_b
         f_c = net(c)[0] - external_load
-        if f_c == 0.0:
-            a = b = c
-        elif (f_c > 0.0) == (f_b > 0.0):
+        if (f_c > 0.0) == (f_b > 0.0):
             b, f_b = c, f_c
         else:
             a, f_a = c, f_c
@@ -891,8 +889,8 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
             raise _BracketNarrowed
         return f_c
 
-    try:
-        bracketed_root(narrow, a, b, f_a, f_b, "axial equilibrium")
+    try:  # a return is an end or iterate whose imbalance is exactly 0
+        a = b = bracketed_root(narrow, a, b, f_a, f_b, "axial equilibrium")
     except _BracketNarrowed:
         pass
     for _ in range(80):
@@ -919,4 +917,4 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     return AxialEquilibrium(
         top_clearance=c_mid, bottom_clearance=total_gap - c_mid,
         top_load=w_top, bottom_load=w_bot, net_load=net_mid,
-        converged=abs(imbalance) <= load_tolerance)
+        converged=abs(imbalance) <= load_tolerance, stable=solved[hi] < solved[lo])

@@ -273,6 +273,10 @@ def run_bearing(config: ScenarioConfig, bundle: ReportBundle, sweep=None):
         return
     check_regime(top, replace(film, nominal_clearance=equilibrium.top_clearance))
     check_regime(bottom, replace(film, nominal_clearance=equilibrium.bottom_clearance))
+    if not equilibrium.stable:
+        bundle.warnings.append(
+            "bearing: the axial equilibrium is statically unstable: the net load "
+            "rises with the top clearance, so a push toward either face grows")
     bundle.summary.append(
         f"bearing: axial equilibrium clearances top {equilibrium.top_clearance * 1e6:.2f} um / "
         f"bottom {equilibrium.bottom_clearance * 1e6:.2f} um "

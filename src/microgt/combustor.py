@@ -282,9 +282,7 @@ def _solve_thermal(geometry: CombustorGeometry, op: CombustorOperatingPoint):
             break
         t_w = 0.5 * (t_w + t_w_new)
     else:
-        raise SolverError(
-            f"wall balance did not converge (last wall update {t_w_new - t_w:.3e} K)"
-        )
+        raise SolverError(f"wall balance did not converge (last wall update {t_w_new - t_w:.3e} K)")
     _, t_e, eps = wall_update(t_w)
     t_pre = t_in + eps * (t_w - t_in)
     return t_e, t_w, t_pre

@@ -72,8 +72,6 @@ def compress(inlet: GasState, pressure_ratio: float, eta_compressor: float,
     """Adiabatic compression. Returns (exit GasState, specific work J/kg)."""
     if eta_compressor <= 0.0:
         raise ValueError(f"eta_compressor must be positive, got {eta_compressor}")
-    if pressure_ratio < 1.0:
-        raise ValueError(f"pressure_ratio must be >= 1, got {pressure_ratio}")
     t2s = _isentropic_temperature(inlet.temperature, pressure_ratio,
                                   inlet.composition, props)
     t2 = inlet.temperature + (t2s - inlet.temperature) / eta_compressor
@@ -86,8 +84,6 @@ def compress(inlet: GasState, pressure_ratio: float, eta_compressor: float,
 def expand(inlet: GasState, exit_pressure: float, eta_turbine: float,
            props=gas):
     """Adiabatic expansion to exit_pressure. Returns (exit GasState, work J/kg)."""
-    if eta_turbine <= 0.0:
-        raise ValueError(f"eta_turbine must be positive, got {eta_turbine}")
     if exit_pressure > inlet.pressure:
         raise ValueError(
             f"exit pressure {exit_pressure} exceeds inlet pressure {inlet.pressure}"

@@ -62,8 +62,7 @@ class Param:
 
     @property
     def kind(self) -> str:
-        if self.choices:
-            return "choice"
+        """The number type of a key that is not a choice."""
         return "int" if isinstance(self.default, int) else "float"
 
     @property

@@ -108,8 +108,6 @@ def velocity_triangle(radius: float, rpm: float, mass_flow: float,
     """Velocity triangle at one radius from continuity and the flow angle."""
     if flow_area <= 0.0:
         raise ValueError("flow_area must be positive")
-    if mass_flow <= 0.0:
-        raise ValueError("mass_flow must be positive")
     rho = gas.density(gas_state)
     c_m = mass_flow / (rho * flow_area)
     c_theta = c_m * math.tan(math.radians(absolute_flow_angle))

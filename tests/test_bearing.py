@@ -227,6 +227,8 @@ def test_equilibrium_reports_missing_root():
         br.axial_equilibrium(top, bottom, 40.0e-6, 1.0e6, FILM, scan_points=9)
     with pytest.raises(br.NoEquilibriumError):  # one point brackets nothing
         br.axial_equilibrium(top, bottom, 40.0e-6, 4.0e-4, FILM, scan_points=1)
+    with pytest.raises(ValueError, match="total_gap"):
+        br.axial_equilibrium(top, bottom, 0.0, 4.0e-4, FILM)
 
 
 def test_solver_rejects_coarse_grids():
@@ -248,6 +250,13 @@ def test_newton_gives_up_once_the_residual_stops_falling(face):
     history = info.value.residual_history
     assert len(history) <= 5
     assert min(history) == history[0]
+
+
+def test_newton_reports_its_iteration_cap(monkeypatch):
+    monkeypatch.setattr(br, "NEWTON_MAX_ITERATIONS", 1)
+    with pytest.raises(br.SolverError, match="Newton did not reach") as info:
+        br.solve_reynolds(BEARING, FILM, 33, 64)
+    assert len(info.value.residual_history) == 1
 
 
 def test_film_near_the_float_limit_fails_without_a_warning():
@@ -739,6 +748,7 @@ def bisected_equilibrium(top, bottom, total_gap, external_load, film,
             c_lo = fractions[len(values) - 2] * total_gap
             c_hi = frac * total_gap
             lo_val = values[-2]
+            stable = values[-1] < values[-2]
             break
     if c_lo is None:
         raise br.NoEquilibriumError(
@@ -765,7 +775,7 @@ def bisected_equilibrium(top, bottom, total_gap, external_load, film,
     return br.AxialEquilibrium(
         top_clearance=c_mid, bottom_clearance=total_gap - c_mid,
         top_load=w_top, bottom_load=w_bot, net_load=net_mid,
-        converged=abs(imbalance) <= load_tolerance)
+        converged=abs(imbalance) <= load_tolerance, stable=stable)
 
 
 GROOVED_15 = SpiralGrooveBearing(groove_depth=15.0e-6)
@@ -823,7 +833,9 @@ def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, c
     """Seeding the scan from the narrow-groove model and skipping the
     midpoints whose side the solved bracket tells return the clearance of the
     low-end scan with a solve at every midpoint, bit for bit, with the same
-    loads to rounding (each face's factor history differs) and fewer solves."""
+    loads to rounding (each face's factor history differs) and fewer solves.
+    So does the bisection alone, when bracketed_root stops before its first
+    step.  Only the model-sign-wrong root is statically unstable."""
     args, options = equilibrium_case(case)
     solves = count_calls(monkeypatch, "solve_reynolds")
     if case == "pump-out-bottom":
@@ -841,6 +853,7 @@ def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, c
     assert eq.top_clearance == expected.top_clearance
     assert eq.bottom_clearance == expected.bottom_clearance
     assert eq.converged == expected.converged
+    assert eq.stable == expected.stable == (case != "model-sign-wrong")
     assert eq.top_load == pytest.approx(expected.top_load, rel=1e-12, abs=0.0)
     assert eq.bottom_load == pytest.approx(expected.bottom_load, rel=1e-12, abs=0.0)
     assert skipping_solves < bisected_solves
@@ -850,6 +863,23 @@ def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, c
                                "model-sign-wrong": 44}[case]
     if case == "symmetric-zero-end":
         assert bisected_solves == 48
+    if case in ("default", "model-sign-wrong"):
+        def no_step(*args):
+            raise br._BracketNarrowed
+
+        monkeypatch.setattr(br, "bracketed_root", no_step)
+        alone = br.axial_equilibrium(*args, **options)
+        assert alone.top_clearance == expected.top_clearance
+        assert alone.converged
+
+
+def test_equilibrium_reports_the_bisection_cap():
+    """With load_tolerance 0 no midpoint balances, so the bisection stops at
+    its 80-level cap, unconverged, at the converged clearance to 1e-10 m."""
+    args, _ = equilibrium_case("default")
+    eq = br.axial_equilibrium(*args, load_tolerance=0.0)
+    assert not eq.converged
+    assert eq.top_clearance == pytest.approx(8.145561835106383e-06, rel=0.0, abs=1e-10)
 
 
 def test_equilibrium_model_sign_wrong_case_disagrees_at_the_low_end():

@@ -69,6 +69,21 @@ def test_validate_reports_parse_error_with_line_number():
     assert any("line 8" in e for e in info.value.errors)
 
 
+@pytest.mark.parametrize("text, error", [
+    (DEFAULT_CONFIG + "\n[nozzle]\n", "line 76: unknown section [nozzle]"),
+    ("rpm = 15000.0\n" + DEFAULT_CONFIG, "line 1: key outside any known section"),
+    (DEFAULT_CONFIG.replace("rpm = 15000.0\nrpm_min", "rpm = fast\nrpm_min"),
+     "line 50: [turbine] rpm = 'fast': not a valid float"),
+    (DEFAULT_CONFIG.replace("grid_radial_nodes = 65", "grid_radial_nodes = 65.5"),
+     "line 72: [bearing] grid_radial_nodes = '65.5': must be an integer"),
+], ids=["unknown-section", "key-before-section", "not-a-number", "not-an-integer"])
+def test_validate_names_the_line_of_a_malformed_input(tmp_path, capsys, text, error):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(text)
+    assert cli.main(["validate", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"invalid: {error}\n"
+
+
 def _with(key, value):
     """DEFAULT_CONFIG with the line of key, in whichever section, set to value."""
     text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", DEFAULT_CONFIG, flags=re.M)
@@ -287,14 +302,18 @@ def test_run_bearing_warns_on_under_resolved_stripes(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == warnings
 
 
-def test_run_all_deterministic(tmp_path):
-    out_1 = tmp_path / "a"
-    out_2 = tmp_path / "b"
-    assert cli.main(["run", "all", "--out", str(out_1)]) == 0
-    assert cli.main(["run", "all", "--out", str(out_2)]) == 0
-    for name in ("stations.csv", "performance.csv", "combustor.csv",
-                 "operating_line.csv", "field.csv", "loadmap.csv"):
-        assert (out_1 / name).read_bytes() == (out_2 / name).read_bytes()
+def test_run_bearing_warns_of_an_unstable_equilibrium(tmp_path, capsys, monkeypatch):
+    """`run bearing` reports the stable flag of the equilibrium it returns;
+    test_bearing's model-sign-wrong case is a root with stable False."""
+    unstable = br.AxialEquilibrium(35.52e-6, 4.48e-6, 1.0e-3, 1.0e-4, 9.0e-4,
+                                   converged=True, stable=False)
+    monkeypatch.setattr(br, "axial_equilibrium", lambda *args: unstable)
+    out = tmp_path / "out"
+    assert cli.main(["run", "bearing", "--out", str(out)]) == 0
+    warning = ("warning: bearing: the axial equilibrium is statically unstable: the net "
+               "load rises with the top clearance, so a push toward either face grows")
+    assert (out / "summary.txt").read_text().splitlines()[-1] == warning
+    assert capsys.readouterr().err.splitlines() == [warning]
 
 
 # sha256 of each default `run all` output.  A change that keeps every answer
@@ -651,6 +670,16 @@ def test_run_prints_residual_history_on_solver_error(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert "line search stalled" in err
     assert "residual history: 1.000e+00 5.000e-01" in err
+
+    def singular(*args, **kwargs):  # as SuperLU reports a singular Jacobian
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(br, "splu", singular)
+    assert cli.main(["run", "bearing", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: bearing: Factor is exactly singular at iteration 0"
+    assert re.fullmatch(r"residual history: \S+", err[1])
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):

@@ -148,6 +148,8 @@ def test_residence_time_scalings():
     assert tau_2 == pytest.approx(2.0 * tau_1, rel=1e-12)
     op2 = CombustorOperatingPoint(0.30e-3, 0.6)
     assert cb.residence_time(GEOM_06, op2, 1600.0) == pytest.approx(0.5 * tau_1, rel=1e-12)
+    with pytest.raises(ValueError, match="flame_temperature must be positive"):
+        cb.residence_time(GEOM_06, op, 0.0)
 
 
 def test_residence_time_hand_formula():
@@ -172,6 +174,8 @@ def test_chemical_time_monotone_in_phi_and_temperature():
 
 def test_chemical_time_zero_phi_never_stable():
     assert cb.chemical_time(0.0, 101325.0, 700.0) == math.inf
+    with pytest.raises(ValueError, match="phi must be non-negative"):
+        cb.chemical_time(-0.1, 101325.0, 700.0)
     op = CombustorOperatingPoint(0.15e-3, 0.0)
     result = cb.stability(GEOM_12, op)
     assert not result.stable
@@ -234,6 +238,8 @@ def test_blowout_threshold_in_band():
     mdot_min = cb.blowout_mass_flow(GEOM_12, 0.8)
     assert mdot_min is not None
     assert 0.03e-3 <= mdot_min <= 0.05e-3
+    # a 10 um chamber blows out at every scan flow
+    assert cb.blowout_mass_flow(CombustorGeometry(chamber_height=1.0e-5), 0.8) is None
 
 
 def test_exit_band_fig6():

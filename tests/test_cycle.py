@@ -185,6 +185,16 @@ def test_fit_eta_mechanical_hits_target():
     assert 0.0 < eta <= 1.0
 
 
+@pytest.mark.parametrize("design, target, message", [
+    # no pressure rise and no combustor loss: the turbine expands nothing
+    (CycleDesignPoint(pressure_ratio=1.0, sigma_combustor=1.0), 39.0, "turbine power"),
+    (CycleDesignPoint(), 1.0e3, "falls outside"),
+], ids=["no-turbine-power", "target-out-of-reach"])
+def test_fit_eta_mechanical_rejects_what_no_fraction_meets(design, target, message):
+    with pytest.raises(ValueError, match=message):
+        cycle.fit_eta_mechanical(design, target)
+
+
 def test_design_point_validation():
     with pytest.raises(ValueError):
         CycleDesignPoint(eta_compressor=1.5)

@@ -84,6 +84,12 @@ def test_burned_composition_rejects_rich():
         gas.burned_composition(1.2)
 
 
+@pytest.mark.parametrize("composition", [gas.burned_composition, gas.unburned_mixture])
+def test_compositions_reject_a_negative_equivalence_ratio(composition):
+    with pytest.raises(ValueError, match="must be non-negative"):
+        composition(-0.1)
+
+
 def test_element_conservation_across_burn():
     # total elemental H, O, N moles identical before and after, per mole air
     x_o2, x_n2, x_ar = 0.2095, 0.7808, 0.0097
@@ -124,6 +130,8 @@ def test_mixing_linearity():
 def test_out_of_range_temperature_names_species():
     with pytest.raises(TemperatureRangeError, match="N2"):
         gas.cp_mass(GasComposition({"N2": 1.0}), 5000.0)
+    with pytest.raises(TemperatureRangeError, match="N2"):
+        gas.species("N2").cp_molar(5000.0)
 
 
 @pytest.mark.parametrize("t", [249.9, 3500.1, math.nan, math.inf, -math.inf])

@@ -14,7 +14,7 @@ from microgt import bearing as br
 from microgt import cli
 from microgt import combustor as cb
 from microgt import cycle as cyc
-from microgt import gas, turbo
+from microgt import gas, params, turbo
 from microgt.config import DEFAULT_CONFIG, SECTIONS, ConfigError, default_config, validate
 from microgt.params import Param, Record, SolverError, bracketed_root, declared
 
@@ -138,6 +138,18 @@ def test_bracketed_root_finds_a_root_superlinearly():
 def test_bracketed_root_rejects_an_unbracketed_interval():
     with pytest.raises(SolverError, match="no root"):
         bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0, "test")
+
+
+@pytest.mark.parametrize("f_lo, f_hi, root", [(0.0, 1.0, -1.0), (-1.0, 0.0, 2.0)])
+def test_bracketed_root_returns_an_end_whose_residual_is_zero(f_lo, f_hi, root):
+    assert bracketed_root(lambda x: pytest.fail("f called"), -1.0, 2.0, f_lo, f_hi,
+                          "test") == root
+
+
+def test_bracketed_root_reports_its_step_cap(monkeypatch):
+    monkeypatch.setattr(params, "ROOT_MAX_STEPS", 1)
+    with pytest.raises(SolverError, match="cube root: no convergence in 1 steps"):
+        bracketed_root(lambda x: x ** 3 - 2.0, 0.0, 2.0, -2.0, 6.0, "cube root")
 
 
 def test_bracketed_root_rejects_a_non_finite_end():

@@ -34,6 +34,8 @@ def test_triangle_identity_and_angles():
         tri.tangential / tri.meridional, rel=1e-9)
     assert math.tan(math.radians(tri.relative_angle)) == pytest.approx(
         tri.relative_tangential / tri.meridional, rel=1e-9)
+    with pytest.raises(ValueError, match="flow_area must be positive"):
+        turbo.velocity_triangle(GEOM.tip_radius, 15000.0, 0.36e-3, COLD, 0.0, 70.0)
 
 
 def test_triangle_meridional_hand_formula():
@@ -115,6 +117,13 @@ def test_cold_drive_is_derated():
     power_ratio, rpm_ratio = turbo.cold_drive_derate(hot, COLD, GEOM, 0.36e-3)
     assert power_ratio < 1.0
     assert rpm_ratio < 1.0
+
+
+def test_cold_drive_rejects_a_blade_angle_equal_to_the_stator_angle():
+    # the zero-incidence speed is then 0 rpm
+    geom = RotorGeometry(inlet_blade_angle=StatorGeometry().exit_flow_angle)
+    with pytest.raises(ValueError, match="degenerate"):
+        turbo.cold_drive_derate(COLD, COLD, geom, 0.36e-3)
 
 
 def test_cold_drive_scales_as_meridional_velocity_squared():
