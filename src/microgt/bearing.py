@@ -56,8 +56,8 @@ factored, so a process that solves no Reynolds equation never loads it.
 
 The narrow-groove (infinite-groove-number) reference evaluates the
 classical effective-medium solution in the incompressible limit.  It
-serves as an independent cross-check on the numerical load and picks where
-axial_equilibrium's scan starts.
+cross-checks the numerical load and steers axial_equilibrium's scan and,
+scaled by each face's 2D/model load ratio, the narrowing of its bracket.
 """
 
 from __future__ import annotations
@@ -779,8 +779,39 @@ def axial_stiffness(bearing: SpiralGrooveBearing, film: FilmState,
     return -(load_hi - load_lo) / (2.0 * dc)
 
 
-class _BracketNarrowed(Exception):
-    """The solved bracket of axial_equilibrium is 1e-10 m wide or less."""
+def _narrowed_bracket(net, model, a, b, external_load, width):
+    """The solved bracket a, b of axial_equilibrium's root, each end (c_top,
+    *net(c_top)), narrowed until its ends are width apart or less; returns
+    the ends' c_top, or twice an end whose imbalance is 0.  A step roots,
+    with bracketed_root, the faces' model loads scaled by their 2D/model
+    ratios, interpolated linearly in c_top between a and b so as to equal
+    the solved imbalance at both ends (output space mapping, Bandler et al.,
+    1994).  The regula falsi point stands in when a ratio or that root is
+    not finite, and the midpoint after a step that did not halve |imbalance|.
+    The point, kept 0.1 width inside so that a step next to an end closes
+    [a, b] from the far side, is solved and replaces the end on its side."""
+    last, stalled = math.inf, False
+    while b[0] - a[0] > width:
+        (c_a, f_a, *w_a), (c_b, f_b, *w_b) = a, b
+        if 0.0 in (f_a, f_b):
+            return (c_a, c_a) if f_a == 0.0 else (c_b, c_b)
+        c = 0.5 * (c_a + c_b)
+        if not stalled:
+            with np.errstate(all="ignore"):  # a face with no model load has no ratio
+                k_a, k_b = w_a / model(c_a), w_b / model(c_b)
+
+                def corrected(x):
+                    w = (k_a + (k_b - k_a) * ((x - c_a) / (c_b - c_a))) * model(x)
+                    return w[0] - w[1] - external_load
+                c = (bracketed_root(corrected, c_a, c_b, f_a, f_b, "axial equilibrium")
+                     if np.isfinite([k_a, k_b]).all() else math.nan)
+            if not math.isfinite(c):
+                c = (c_a * f_b - c_b * f_a) / (f_b - f_a)
+        c = min(max(c, c_a + 0.1 * width), c_b - 0.1 * width)
+        end = (c, *net(c))
+        last, stalled = abs(end[1]), abs(end[1]) > 0.5 * last
+        a, b = (a, end) if (end[1] > 0.0) == (f_b > 0.0) else (end, b)
+    return a[0], b[0]
 
 
 def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
@@ -814,10 +845,9 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     not the first from the low end.  Then it bisects the scan
     cell to a 1e-10 m bracket with |net_load - external_load| <=
     load_tolerance, solving a midpoint only where its side is unknown.
-    Before the bisection, the Illinois steps of params.bracketed_root narrow
-    [a, b], the scan cell, to 1e-10 m with both ends solved; should
-    bracketed_root return first, at an end or iterate whose imbalance is
-    exactly 0, [a, b] is that one point.  A midpoint of a wider bracket at
+    Before the bisection, the corrected model of _narrowed_bracket narrows
+    [a, b], the scan cell, to 1e-10 m with both ends solved, or to the one
+    point whose imbalance is exactly 0.  A midpoint of a wider bracket at
     or below a takes the c_lo side, one at or above b the c_hi side; the
     others, and the midpoints of brackets of 1e-10 m or less, whose loads
     are returned, are solved.  Assumed: the imbalance crosses zero once in
@@ -834,12 +864,16 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
         raise ValueError("total_gap must be positive")
     factor_top, factor_bot = JacobianFactor(), JacobianFactor()
 
-    def net(c_top):
+    def net(c_top):  # the imbalance at c_top and each face's load
         w_top = solve_load(top, replace(film, nominal_clearance=c_top),
                            *EQUILIBRIUM_GRID, factor_top)
         w_bot = solve_load(bottom, replace(film, nominal_clearance=total_gap - c_top),
                            *EQUILIBRIUM_GRID, factor_bot)
-        return w_top - w_bot, w_top, w_bot
+        return w_top - w_bot - external_load, w_top, w_bot
+
+    def model(c_top):
+        return np.array([_narrow_groove_load(top, film, c_top),
+                         _narrow_groove_load(bottom, film, total_gap - c_top)])
 
     lo_frac, hi_frac = 0.02, 0.98
     c_scan = np.linspace(lo_frac, hi_frac, scan_points) * total_gap
@@ -847,14 +881,14 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
 
     def scan_value(i):
         if i not in solved:
-            solved[i] = net(c_scan[i])[0] - external_load
-        return solved[i]
+            solved[i] = net(c_scan[i])
+        return solved[i][0]
 
     with np.errstate(all="ignore"):  # a model that overflows only moves the seed
-        model = (_narrow_groove_load(top, film, c_scan)
-                 - _narrow_groove_load(bottom, film, total_gap - c_scan) - external_load)
-        sigma = np.sign(model[0])
-        crossed = np.flatnonzero(sigma * model[1:] <= 0.0)
+        loads = model(c_scan)
+        guess = loads[0] - loads[1] - external_load
+        sigma = np.sign(guess[0])
+        crossed = np.flatnonzero(sigma * guess[1:] <= 0.0)
     i = crossed[0] + 1 if crossed.size else min(1, scan_points - 1)
     up = sigma * scan_value(i) > 0.0
     while 0 <= i < scan_points and (sigma * scan_value(i) > 0.0) == up:
@@ -868,31 +902,14 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
             raise NoEquilibriumError(
                 f"no sign change of the axial imbalance over c_top in "
                 f"[{lo_frac * total_gap:.3e}, {hi_frac * total_gap:.3e}] m; "
-                f"endpoint imbalances {solved[0]:.3e} N and {solved[scan_points - 1]:.3e} N"
-            )
+                f"endpoint imbalances {solved[0][0]:.3e} N and "
+                f"{solved[scan_points - 1][0]:.3e} N")
         hi = lo + 1
-    c_lo, c_hi, lo_val = c_scan[lo], c_scan[hi], solved[lo]
+    c_lo, c_hi, lo_val = c_scan[lo], c_scan[hi], solved[lo][0]
 
     clearance_tolerance = 1.0e-10  # m, pins the split well below load noise
-    a, b, f_a, f_b = c_lo, c_hi, lo_val, solved[hi]
-
-    # f of bracketed_root: moves the end of [a, b] on c's side to c, and
-    # stops the steps once [a, b] is as narrow as the bisection's last bracket
-    def narrow(c):
-        nonlocal a, b, f_a, f_b
-        f_c = net(c)[0] - external_load
-        if (f_c > 0.0) == (f_b > 0.0):
-            b, f_b = c, f_c
-        else:
-            a, f_a = c, f_c
-        if b - a <= clearance_tolerance:
-            raise _BracketNarrowed
-        return f_c
-
-    try:  # a return is an end or iterate whose imbalance is exactly 0
-        a = b = bracketed_root(narrow, a, b, f_a, f_b, "axial equilibrium")
-    except _BracketNarrowed:
-        pass
+    a, b = _narrowed_bracket(net, model, (c_lo, *solved[lo]), (c_hi, *solved[hi]),
+                             external_load, clearance_tolerance)
     for _ in range(80):
         c_mid = 0.5 * (c_lo + c_hi)
         if c_hi - c_lo > clearance_tolerance and not a < c_mid < b:
@@ -901,8 +918,7 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
             else:
                 c_lo = c_mid
             continue
-        net_mid, w_top, w_bot = net(c_mid)
-        imbalance = net_mid - external_load
+        imbalance, w_top, w_bot = net(c_mid)
         if abs(imbalance) <= load_tolerance and (c_hi - c_lo) <= clearance_tolerance:
             break
         if lo_val * imbalance <= 0.0:
@@ -912,9 +928,8 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
             lo_val = imbalance
     else:
         c_mid = 0.5 * (c_lo + c_hi)
-        net_mid, w_top, w_bot = net(c_mid)
-        imbalance = net_mid - external_load
+        imbalance, w_top, w_bot = net(c_mid)
     return AxialEquilibrium(
         top_clearance=c_mid, bottom_clearance=total_gap - c_mid,
-        top_load=w_top, bottom_load=w_bot, net_load=net_mid,
-        converged=abs(imbalance) <= load_tolerance, stable=solved[hi] < solved[lo])
+        top_load=w_top, bottom_load=w_bot, net_load=w_top - w_bot,
+        converged=abs(imbalance) <= load_tolerance, stable=solved[hi][0] < solved[lo][0])

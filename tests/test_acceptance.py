@@ -85,7 +85,7 @@ def test_criterion_04_exit_temperature_band():
 
 
 def test_criterion_05_flame_temperature_oracle():
-    start = time.time()
+    # the time bound covers the four flame temperatures, not the oracle
     from scipy.optimize import brentq
 
     def oracle(phi):
@@ -100,11 +100,12 @@ def test_criterion_05_flame_temperature_oracle():
         target = h_total(mix, 300.0)
         return brentq(lambda t: h_total(prod, t) - target, 301.0, 3300.0)
 
-    worst = 0.0
+    worst = elapsed = 0.0
     for phi in (0.4, 0.6, 0.8, 1.0):
-        diff = abs(cb.adiabatic_flame_temperature(phi, 300.0) - oracle(phi))
-        worst = max(worst, diff)
-    elapsed = time.time() - start
+        start = time.time()
+        flame = cb.adiabatic_flame_temperature(phi, 300.0)
+        elapsed += time.time() - start
+        worst = max(worst, abs(flame - oracle(phi)))
     _report(5, "flame-temperature oracle", worst < 60.0 and elapsed < 1.0,
             f"worst deviation {worst:.3f} K (< 60 K), {elapsed:.2f} s")
 

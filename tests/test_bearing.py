@@ -823,19 +823,22 @@ def equilibrium_case(case):
         # and the 2D one negative; the 2D root is near the high end
         "model-sign-wrong": ((DEEP_36, SHALLOW_PUMP_OUT_3, 40.0e-6, 9.0e-4, FILM),
                              {"scan_points": 9}),
+        # the ungrooved face carries no load, in 2D and in the model
+        "ungrooved-bottom": ((BEARING, SpiralGrooveBearing(groove_depth=0.0), 20.0e-6,
+                              5.0e-4, FILM), {}),
     }[case]
 
 
 @pytest.mark.parametrize("case", ["default", "load-4e-4", "load-6e-4", "pump-out-bottom",
                                   "symmetric-zero-end", "symmetric-1e-5", "engine-0-9",
-                                  "grooves-8", "model-sign-wrong"])
+                                  "grooves-8", "model-sign-wrong", "ungrooved-bottom"])
 def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, case):
     """Seeding the scan from the narrow-groove model and skipping the
     midpoints whose side the solved bracket tells return the clearance of the
     low-end scan with a solve at every midpoint, bit for bit, with the same
     loads to rounding (each face's factor history differs) and fewer solves.
-    So does the bisection alone, when bracketed_root stops before its first
-    step.  Only the model-sign-wrong root is statically unstable."""
+    So does the bisection alone, when the bracket is not narrowed.  Only the
+    model-sign-wrong root is statically unstable."""
     args, options = equilibrium_case(case)
     solves = count_calls(monkeypatch, "solve_reynolds")
     if case == "pump-out-bottom":
@@ -857,17 +860,14 @@ def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, c
     assert eq.top_load == pytest.approx(expected.top_load, rel=1e-12, abs=0.0)
     assert eq.bottom_load == pytest.approx(expected.bottom_load, rel=1e-12, abs=0.0)
     assert skipping_solves < bisected_solves
-    assert skipping_solves <= {"default": 16, "load-4e-4": 18, "load-6e-4": 22,
+    assert skipping_solves <= {"default": 16, "load-4e-4": 14, "load-6e-4": 14,
                                "symmetric-zero-end": 6, "symmetric-1e-5": 12,
-                               "engine-0-9": 18, "grooves-8": 20,
-                               "model-sign-wrong": 44}[case]
+                               "engine-0-9": 14, "grooves-8": 14,
+                               "model-sign-wrong": 28, "ungrooved-bottom": 18}[case]
     if case == "symmetric-zero-end":
         assert bisected_solves == 48
     if case in ("default", "model-sign-wrong"):
-        def no_step(*args):
-            raise br._BracketNarrowed
-
-        monkeypatch.setattr(br, "bracketed_root", no_step)
+        monkeypatch.setattr(br, "_narrowed_bracket", lambda net, model, a, b, *rest: (a[0], b[0]))
         alone = br.axial_equilibrium(*args, **options)
         assert alone.top_clearance == expected.top_clearance
         assert alone.converged
@@ -896,26 +896,81 @@ def test_equilibrium_model_sign_wrong_case_disagrees_at_the_low_end():
     assert model > 0.0 > solved
 
 
-@pytest.mark.parametrize("case", ["default", "engine-0-9", "symmetric-zero-end"])
-def test_equilibrium_narrows_its_bracket_in_one_root_run(monkeypatch, case):
-    """The Illinois steps run once, before the bisection, and not once per
-    bisection level; an exactly balanced scan point (the symmetric pair)
-    returns from that run without a step."""
-    runs, steps = [], []
-    original = br.bracketed_root
+def narrowing_steps(monkeypatch, case):
+    """Solve the named equilibrium and check how it narrows its solved
+    bracket: each step is one 2D evaluation (a Reynolds solve per face),
+    strictly inside the bracket [a, b] before it, and replaces the end on its
+    side; the loop ends with both ends solved, of opposite signs and at most
+    1e-10 m apart, or at an end whose imbalance is exactly 0.  Returns the
+    equilibrium, (a, b, point) per step, each a tuple (c_top, imbalance, top
+    load, bottom load), and the solve_reynolds calls of the whole equilibrium."""
+    solves = count_calls(monkeypatch, "solve_reynolds")
+    original, steps, calls = br._narrowed_bracket, [], []
 
-    def counted(f, *rest):
-        runs.append(rest)
-
+    def recorded(net, model, a, b, *rest):
         def step(c):
-            steps.append(c)
-            return f(c)
+            steps.append((c, *net(c)))
+            return steps[-1][1:]
 
-        return original(step, *rest)
+        before = len(solves)
+        calls.append((a, b, original(step, model, a, b, *rest)))
+        assert len(solves) - before == 2 * len(steps)
+        return calls[-1][2]
 
-    monkeypatch.setattr(br, "bracketed_root", counted)
+    monkeypatch.setattr(br, "_narrowed_bracket", recorded)
     args, options = equilibrium_case(case)
     eq = br.axial_equilibrium(*args, **options)
+    [(a, b, result)] = calls
+    trail = []
+    for point in steps:
+        assert a[0] < point[0] < b[0]
+        trail.append((a, b, point))
+        if (point[1] > 0.0) == (b[1] > 0.0):
+            b = point
+        else:
+            a = point
+    if 0.0 in (a[1], b[1]):
+        zero = a if a[1] == 0.0 else b
+        assert result == (zero[0], zero[0])
+    else:
+        assert result == (a[0], b[0])
+        assert a[1] * b[1] < 0.0 and b[0] - a[0] <= 1.0e-10
+    return eq, trail, solves
+
+
+@pytest.mark.parametrize("case", ["default", "engine-0-9", "symmetric-zero-end",
+                                  "ungrooved-bottom"])
+def test_equilibrium_narrows_its_bracket_one_solved_point_per_step(monkeypatch, case):
+    """The narrowing steps of narrowing_steps; an exactly balanced scan point
+    (the symmetric pair) takes none.  A face with no model load has no
+    finite 2D/model ratio, so the ungrooved pair steps to the regula falsi
+    point of the bracket."""
+    eq, trail, _ = narrowing_steps(monkeypatch, case)
     assert eq.converged
-    assert len(runs) == 1
-    assert (len(steps) == 0) == (case == "symmetric-zero-end")
+    assert (trail == []) == (case == "symmetric-zero-end")
+    if case == "ungrooved-bottom":
+        (c_a, f_a, *_), (c_b, f_b, *_), point = trail[0]
+        assert point[0] == (c_a * f_b - c_b * f_a) / (f_b - f_a)
+
+
+def test_equilibrium_bisects_past_a_wrong_model(monkeypatch):
+    """A narrow-groove model that is wrong in shape, the true one times
+    1 + sin(c / 3 nm) / 2, sends the corrected steps to an end of [a, b].
+    After a step that does not halve |imbalance| the next point is the
+    midpoint of [a, b], so the clearance is still the bisection's, bit for
+    bit, from a bounded number of solves."""
+    true_model = br._narrow_groove_load
+    monkeypatch.setattr(br, "_narrow_groove_load", lambda bearing, film, c: (
+        true_model(bearing, film, c) * (1.0 + 0.5 * np.sin(c / 3.0e-9))))
+    args, options = equilibrium_case("default")
+    expected = bisected_equilibrium(*args, **options)
+    eq, trail, solves = narrowing_steps(monkeypatch, "default")
+    assert (eq.top_clearance, eq.bottom_clearance) == (expected.top_clearance,
+                                                       expected.bottom_clearance)
+    assert eq.converged and expected.converged
+    stalled = [abs(now[1]) > 0.5 * abs(before[1])
+               for (_, _, before), (_, _, now) in zip(trail, trail[1:])]
+    midpoint = [point[0] == 0.5 * (a[0] + b[0]) for a, b, point in trail[2:]]
+    assert any(stalled)
+    assert all(m for m, s in zip(midpoint, stalled) if s)
+    assert len(solves) <= 60
