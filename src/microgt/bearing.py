@@ -57,7 +57,8 @@ factored, so a process that solves no Reynolds equation never loads it.
 The narrow-groove (infinite-groove-number) reference evaluates the
 classical effective-medium solution in the incompressible limit.  It
 cross-checks the numerical load and steers axial_equilibrium's scan and,
-scaled by each face's 2D/model load ratio, the narrowing of its bracket.
+scaled by each face's 2D/model load ratio, the narrowing of its bracket
+on the bisection's own midpoints.
 """
 
 from __future__ import annotations
@@ -781,37 +782,47 @@ def axial_stiffness(bearing: SpiralGrooveBearing, film: FilmState,
 
 def _narrowed_bracket(net, model, a, b, external_load, width):
     """The solved bracket a, b of axial_equilibrium's root, each end (c_top,
-    *net(c_top)), narrowed until its ends are width apart or less; returns
-    the ends' c_top, or twice an end whose imbalance is 0.  A step roots,
-    with bracketed_root, the faces' model loads scaled by their 2D/model
-    ratios, interpolated linearly in c_top between a and b so as to equal
-    the solved imbalance at both ends (output space mapping, Bandler et al.,
-    1994).  The regula falsi point stands in when a ratio or that root is
-    not finite, and the midpoint after a step that did not halve |imbalance|.
-    The point, kept 0.1 width inside so that a step next to an end closes
-    [a, b] from the far side, is solved and replaces the end on its side."""
-    last, stalled = math.inf, False
-    while b[0] - a[0] > width:
+    *net(c_top)), narrowed on the bisection's lattice: the points 0.5 * (lo
+    + hi) that halving the first [a, b], the scan cell, gives, down to the
+    first cells width wide or less.  Returns the ends' c_top once no lattice
+    point lies strictly between them, or twice an end whose imbalance is 0.
+    A step roots, with bracketed_root, the faces' model loads scaled by their
+    2D/model ratios, interpolated linearly in c_top between a and b so as to
+    equal the solved imbalance at both ends (output space mapping, Bandler
+    et al., 1994); a face whose ratio is not finite (no model load) takes 1,
+    and so adds its model load of 0.  After a step that did not halve
+    |imbalance| the target is the midpoint instead.  The lattice point
+    strictly inside [a, b] nearest the target is solved and replaces the end
+    on its side."""
+    cell, last, stalled = (a[0], b[0]), math.inf, False
+    while True:
         (c_a, f_a, *w_a), (c_b, f_b, *w_b) = a, b
         if 0.0 in (f_a, f_b):
             return (c_a, c_a) if f_a == 0.0 else (c_b, c_b)
-        c = 0.5 * (c_a + c_b)
+        target = 0.5 * (c_a + c_b)
         if not stalled:
             with np.errstate(all="ignore"):  # a face with no model load has no ratio
-                k_a, k_b = w_a / model(c_a), w_b / model(c_b)
+                k = np.array([w_a, w_b]) / [model(c_a), model(c_b)]
+                k[~np.isfinite(k)] = 1.0
 
                 def corrected(x):
-                    w = (k_a + (k_b - k_a) * ((x - c_a) / (c_b - c_a))) * model(x)
+                    w = (k[0] + (k[1] - k[0]) * ((x - c_a) / (c_b - c_a))) * model(x)
                     return w[0] - w[1] - external_load
-                c = (bracketed_root(corrected, c_a, c_b, f_a, f_b, "axial equilibrium")
-                     if np.isfinite([k_a, k_b]).all() else math.nan)
-            if not math.isfinite(c):
-                c = (c_a * f_b - c_b * f_a) / (f_b - f_a)
-        c = min(max(c, c_a + 0.1 * width), c_b - 0.1 * width)
+                target = bracketed_root(corrected, c_a, c_b, f_a, f_b, "axial equilibrium")
+        (lo, hi), inside = cell, []
+        while True:  # down the bisection's cells toward target
+            mid = 0.5 * (lo + hi)
+            if c_a < mid < c_b:
+                inside.append(mid)
+            if hi - lo <= width:
+                break
+            lo, hi = (lo, mid) if target < mid else (mid, hi)
+        if not inside:
+            return c_a, c_b
+        c = min(inside, key=lambda x: abs(x - target))
         end = (c, *net(c))
         last, stalled = abs(end[1]), abs(end[1]) > 0.5 * last
         a, b = (a, end) if (end[1] > 0.0) == (f_b > 0.0) else (end, b)
-    return a[0], b[0]
 
 
 def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
@@ -846,11 +857,13 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     cell to a 1e-10 m bracket with |net_load - external_load| <=
     load_tolerance, solving a midpoint only where its side is unknown.
     Before the bisection, the corrected model of _narrowed_bracket narrows
-    [a, b], the scan cell, to 1e-10 m with both ends solved, or to the one
-    point whose imbalance is exactly 0.  A midpoint of a wider bracket at
-    or below a takes the c_lo side, one at or above b the c_hi side; the
-    others, and the midpoints of brackets of 1e-10 m or less, whose loads
-    are returned, are solved.  Assumed: the imbalance crosses zero once in
+    [a, b], the scan cell, on the bisection's own midpoints until no
+    midpoint lies between its solved ends, or to the one point whose
+    imbalance is exactly 0.  A midpoint of a wider bracket at or below a
+    takes the c_lo side, one at or above b the c_hi side; the others, and
+    the midpoints of brackets of 1e-10 m or less, whose loads are returned,
+    are solved, each c_top once, so the last midpoint, a or b, costs no
+    solve.  Assumed: the imbalance crosses zero once in
     the scan cell (2.04% of the gap at 48 scan points), so each side is the
     one a solve would give.  Were there more crossings, the answer would
     still be a solved root in that cell to 1e-10 m, perhaps not the
@@ -864,6 +877,7 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
         raise ValueError("total_gap must be positive")
     factor_top, factor_bot = JacobianFactor(), JacobianFactor()
 
+    @functools.cache  # each c_top is solved once
     def net(c_top):  # the imbalance at c_top and each face's load
         w_top = solve_load(top, replace(film, nominal_clearance=c_top),
                            *EQUILIBRIUM_GRID, factor_top)
@@ -877,12 +891,9 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
 
     lo_frac, hi_frac = 0.02, 0.98
     c_scan = np.linspace(lo_frac, hi_frac, scan_points) * total_gap
-    solved = {}
 
     def scan_value(i):
-        if i not in solved:
-            solved[i] = net(c_scan[i])
-        return solved[i][0]
+        return net(c_scan[i])[0]
 
     with np.errstate(all="ignore"):  # a model that overflows only moves the seed
         loads = model(c_scan)
@@ -902,13 +913,14 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
             raise NoEquilibriumError(
                 f"no sign change of the axial imbalance over c_top in "
                 f"[{lo_frac * total_gap:.3e}, {hi_frac * total_gap:.3e}] m; "
-                f"endpoint imbalances {solved[0][0]:.3e} N and "
-                f"{solved[scan_points - 1][0]:.3e} N")
+                f"endpoint imbalances {scan_value(0):.3e} N and "
+                f"{scan_value(scan_points - 1):.3e} N")
         hi = lo + 1
-    c_lo, c_hi, lo_val = c_scan[lo], c_scan[hi], solved[lo][0]
+    c_lo, c_hi, lo_val = c_scan[lo], c_scan[hi], scan_value(lo)
+    stable = scan_value(hi) < lo_val
 
     clearance_tolerance = 1.0e-10  # m, pins the split well below load noise
-    a, b = _narrowed_bracket(net, model, (c_lo, *solved[lo]), (c_hi, *solved[hi]),
+    a, b = _narrowed_bracket(net, model, (c_lo, *net(c_lo)), (c_hi, *net(c_hi)),
                              external_load, clearance_tolerance)
     for _ in range(80):
         c_mid = 0.5 * (c_lo + c_hi)
@@ -932,4 +944,4 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     return AxialEquilibrium(
         top_clearance=c_mid, bottom_clearance=total_gap - c_mid,
         top_load=w_top, bottom_load=w_bot, net_load=w_top - w_bot,
-        converged=abs(imbalance) <= load_tolerance, stable=solved[hi][0] < solved[lo][0])
+        converged=abs(imbalance) <= load_tolerance, stable=stable)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 
 from microgt import bearing as br
@@ -836,9 +837,10 @@ def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, c
     """Seeding the scan from the narrow-groove model and skipping the
     midpoints whose side the solved bracket tells return the clearance of the
     low-end scan with a solve at every midpoint, bit for bit, with the same
-    loads to rounding (each face's factor history differs) and fewer solves.
-    So does the bisection alone, when the bracket is not narrowed.  Only the
-    model-sign-wrong root is statically unstable."""
+    loads to rounding (each face's factor history differs) and fewer solves,
+    none of one face at one clearance twice.  So does the bisection alone,
+    when the bracket is not narrowed.  Only the model-sign-wrong root is
+    statically unstable."""
     args, options = equilibrium_case(case)
     solves = count_calls(monkeypatch, "solve_reynolds")
     if case == "pump-out-bottom":
@@ -853,6 +855,9 @@ def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, c
     bisected_solves = len(solves)
     eq = br.axial_equilibrium(*args, **options)
     skipping_solves = len(solves) - bisected_solves
+    films = [(id(factor), film.nominal_clearance)
+             for _, film, _, _, factor in solves[bisected_solves:]]
+    assert len(set(films)) == len(films)
     assert eq.top_clearance == expected.top_clearance
     assert eq.bottom_clearance == expected.bottom_clearance
     assert eq.converged == expected.converged
@@ -860,10 +865,10 @@ def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, c
     assert eq.top_load == pytest.approx(expected.top_load, rel=1e-12, abs=0.0)
     assert eq.bottom_load == pytest.approx(expected.bottom_load, rel=1e-12, abs=0.0)
     assert skipping_solves < bisected_solves
-    assert skipping_solves <= {"default": 16, "load-4e-4": 14, "load-6e-4": 14,
-                               "symmetric-zero-end": 6, "symmetric-1e-5": 12,
-                               "engine-0-9": 14, "grooves-8": 14,
-                               "model-sign-wrong": 28, "ungrooved-bottom": 18}[case]
+    assert skipping_solves <= {"default": 10, "load-4e-4": 12, "load-6e-4": 12,
+                               "symmetric-zero-end": 6, "symmetric-1e-5": 8,
+                               "engine-0-9": 12, "grooves-8": 12,
+                               "model-sign-wrong": 26, "ungrooved-bottom": 12}[case]
     if case == "symmetric-zero-end":
         assert bisected_solves == 48
     if case in ("default", "model-sign-wrong"):
@@ -896,14 +901,29 @@ def test_equilibrium_model_sign_wrong_case_disagrees_at_the_low_end():
     assert model > 0.0 > solved
 
 
+def bisection_lattice(c_lo, c_hi, width=1.0e-10):
+    """The scan cell's ends and every point 0.5 * (lo + hi) that halving it
+    gives, down to the first cells width wide or less, sorted: the points at
+    which axial_equilibrium's bisection may solve."""
+    points, cells = {c_lo, c_hi}, [(c_lo, c_hi)]
+    while cells:
+        lo, hi = cells.pop()
+        mid = 0.5 * (lo + hi)
+        points.add(mid)
+        if hi - lo > width:
+            cells += [(lo, mid), (mid, hi)]
+    return sorted(points)
+
+
 def narrowing_steps(monkeypatch, case):
     """Solve the named equilibrium and check how it narrows its solved
-    bracket: each step is one 2D evaluation (a Reynolds solve per face),
-    strictly inside the bracket [a, b] before it, and replaces the end on its
-    side; the loop ends with both ends solved, of opposite signs and at most
-    1e-10 m apart, or at an end whose imbalance is exactly 0.  Returns the
-    equilibrium, (a, b, point) per step, each a tuple (c_top, imbalance, top
-    load, bottom load), and the solve_reynolds calls of the whole equilibrium."""
+    bracket: each step is one 2D evaluation (a Reynolds solve per face) at a
+    point of bisection_lattice of the scan cell, strictly inside the bracket
+    [a, b] before it, and replaces the end on its side; the loop ends with
+    both ends solved, of opposite signs and adjacent on the lattice, or at
+    an end whose imbalance is exactly 0.  Returns the equilibrium, (a, b,
+    point) per step, each a tuple (c_top, imbalance, top load, bottom load),
+    the lattice, and the solve_reynolds calls of the whole equilibrium."""
     solves = count_calls(monkeypatch, "solve_reynolds")
     original, steps, calls = br._narrowed_bracket, [], []
 
@@ -921,9 +941,11 @@ def narrowing_steps(monkeypatch, case):
     args, options = equilibrium_case(case)
     eq = br.axial_equilibrium(*args, **options)
     [(a, b, result)] = calls
+    lattice = bisection_lattice(a[0], b[0])
     trail = []
     for point in steps:
         assert a[0] < point[0] < b[0]
+        assert point[0] in lattice
         trail.append((a, b, point))
         if (point[1] > 0.0) == (b[1] > 0.0):
             b = point
@@ -934,43 +956,63 @@ def narrowing_steps(monkeypatch, case):
         assert result == (zero[0], zero[0])
     else:
         assert result == (a[0], b[0])
-        assert a[1] * b[1] < 0.0 and b[0] - a[0] <= 1.0e-10
-    return eq, trail, solves
+        assert a[1] * b[1] < 0.0
+        assert lattice.index(b[0]) == lattice.index(a[0]) + 1
+    return eq, trail, lattice, solves
+
+
+def nearest_inside(lattice, a, b, target):
+    """The lattice points strictly inside (a, b) nearest target, two on a tie."""
+    inside = [x for x in lattice if a < x < b]
+    nearest = min(abs(x - target) for x in inside)
+    return {x for x in inside if abs(x - target) == nearest}
 
 
 @pytest.mark.parametrize("case", ["default", "engine-0-9", "symmetric-zero-end",
                                   "ungrooved-bottom"])
 def test_equilibrium_narrows_its_bracket_one_solved_point_per_step(monkeypatch, case):
     """The narrowing steps of narrowing_steps; an exactly balanced scan point
-    (the symmetric pair) takes none.  A face with no model load has no
-    finite 2D/model ratio, so the ungrooved pair steps to the regula falsi
-    point of the bracket."""
-    eq, trail, _ = narrowing_steps(monkeypatch, case)
+    (the symmetric pair) takes none.  An ungrooved face has no load, in 2D
+    and in the model, so its 2D/model ratio is taken as 1: the ungrooved
+    pair's first step is the lattice point nearest the root of the top
+    face's corrected model alone, and it takes no more steps than the
+    grooved pairs."""
+    eq, trail, lattice, _ = narrowing_steps(monkeypatch, case)
     assert eq.converged
     assert (trail == []) == (case == "symmetric-zero-end")
     if case == "ungrooved-bottom":
-        (c_a, f_a, *_), (c_b, f_b, *_), point = trail[0]
-        assert point[0] == (c_a * f_b - c_b * f_a) / (f_b - f_a)
+        (top, bottom, gap, external_load, film), _ = equilibrium_case(case)
+        (c_a, f_a, w_a, bot_a), (c_b, f_b, w_b, bot_b), point = trail[0]
+        assert bot_a == bot_b == 0.0
+        k_a = w_a / br._narrow_groove_load(top, film, c_a)
+        k_b = w_b / br._narrow_groove_load(top, film, c_b)
+        root = brentq(lambda c: (k_a + (k_b - k_a) * (c - c_a) / (c_b - c_a))
+                      * br._narrow_groove_load(top, film, c) - external_load,
+                      c_a, c_b, xtol=1e-20, rtol=4 * np.finfo(float).eps)
+        assert point[0] in nearest_inside(lattice, c_a, c_b, root)
+        assert len(trail) <= 2
 
 
 def test_equilibrium_bisects_past_a_wrong_model(monkeypatch):
     """A narrow-groove model that is wrong in shape, the true one times
     1 + sin(c / 3 nm) / 2, sends the corrected steps to an end of [a, b].
     After a step that does not halve |imbalance| the next point is the
-    midpoint of [a, b], so the clearance is still the bisection's, bit for
-    bit, from a bounded number of solves."""
+    lattice point nearest the midpoint of [a, b], so the clearance is still
+    the bisection's, bit for bit, from fewer solves than the bisection that
+    solves every midpoint."""
     true_model = br._narrow_groove_load
     monkeypatch.setattr(br, "_narrow_groove_load", lambda bearing, film, c: (
         true_model(bearing, film, c) * (1.0 + 0.5 * np.sin(c / 3.0e-9))))
     args, options = equilibrium_case("default")
     expected = bisected_equilibrium(*args, **options)
-    eq, trail, solves = narrowing_steps(monkeypatch, "default")
+    eq, trail, lattice, solves = narrowing_steps(monkeypatch, "default")
     assert (eq.top_clearance, eq.bottom_clearance) == (expected.top_clearance,
                                                        expected.bottom_clearance)
     assert eq.converged and expected.converged
     stalled = [abs(now[1]) > 0.5 * abs(before[1])
                for (_, _, before), (_, _, now) in zip(trail, trail[1:])]
-    midpoint = [point[0] == 0.5 * (a[0] + b[0]) for a, b, point in trail[2:]]
+    midpoint = [point[0] in nearest_inside(lattice, a[0], b[0], 0.5 * (a[0] + b[0]))
+                for a, b, point in trail[2:]]
     assert any(stalled)
     assert all(m for m, s in zip(midpoint, stalled) if s)
-    assert len(solves) <= 60
+    assert len(solves) <= 46  # bisected_equilibrium takes 48

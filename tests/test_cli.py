@@ -231,11 +231,12 @@ def test_run_bearing_solves_each_film_once(tmp_path, monkeypatch):
 
 def test_run_all_factorisations(tmp_path, monkeypatch):
     """Neighbouring solves share their Jacobian factors: the default run all
-    factors 6 times for its 19 Reynolds solves (15 and 33 when the
+    factors 6 times for its 13 Reynolds solves (15 and 33 when the
     equilibrium's scan started at the low end).  The axial equilibrium
-    solves 16 of them: its scan starts at the narrow-groove model's
-    crossing, and the bisection midpoints whose side the solved bracket
-    tells take no solve (51 solves when every midpoint was solved)."""
+    solves 10 of them: its scan starts at the narrow-groove model's
+    crossing, it narrows the scan cell on the bisection's own midpoints,
+    and the bisection midpoints whose side the solved bracket tells take no
+    solve (51 solves when every midpoint was solved)."""
     counts = {"splu": 0, "solve_reynolds": 0}
 
     def counting(name):
@@ -250,7 +251,7 @@ def test_run_all_factorisations(tmp_path, monkeypatch):
         monkeypatch.setattr(br, name, counting(name))
     assert cli.main(["run", "all", "--out", str(tmp_path / "out")]) == 0
     assert counts["splu"] <= 7
-    assert counts["solve_reynolds"] <= 20
+    assert counts["solve_reynolds"] <= 13
 
 
 def test_run_bearing_finds_a_high_viscosity_equilibrium(tmp_path, capsys):
