@@ -791,7 +791,8 @@ def _narrowed_bracket(net, model, a, b, external_load, width):
     equal the solved imbalance at both ends (output space mapping, Bandler
     et al., 1994); a face whose ratio is not finite (no model load) takes 1,
     and so adds its model load of 0.  After a step that did not halve
-    |imbalance| the target is the midpoint instead.  The lattice point
+    |imbalance|, or when the corrected model is not finite at a point the
+    root evaluates, the target is the midpoint instead.  The lattice point
     strictly inside [a, b] nearest the target is solved and replaces the end
     on its side."""
     cell, last, stalled = (a[0], b[0]), math.inf, False
@@ -807,8 +808,14 @@ def _narrowed_bracket(net, model, a, b, external_load, width):
 
                 def corrected(x):
                     w = (k[0] + (k[1] - k[0]) * ((x - c_a) / (c_b - c_a))) * model(x)
-                    return w[0] - w[1] - external_load
-                target = bracketed_root(corrected, c_a, c_b, f_a, f_b, "axial equilibrium")
+                    value = w[0] - w[1] - external_load
+                    if not math.isfinite(value):
+                        raise FloatingPointError("corrected model not finite")
+                    return value
+                try:
+                    target = bracketed_root(corrected, c_a, c_b, f_a, f_b, "axial equilibrium")
+                except FloatingPointError:
+                    pass  # the midpoint target stands
         (lo, hi), inside = cell, []
         while True:  # down the bisection's cells toward target
             mid = 0.5 * (lo + hi)

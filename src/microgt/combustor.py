@@ -17,16 +17,20 @@ conductance are calibration parameters; the shipped defaults were frozen
 from the grid-search procedure in tests/calibration_fixture.py.
 
 The unburned mixture and the products of each equivalence ratio, and the
-products' total enthalpies at the two ends of the products-temperature
-bracket, are built once per phi into one record (_products, which holds the
-last phi's), so the dozens of exit-temperature roots of one point, its
-residence time, and the points of one blow-out scan share them.
+products' total enthalpies at the 15 temperatures of PRODUCTS_TABLE (250 K
+to 3400 K, 225 K apart), are built once per phi into one record (_products,
+which holds the last phi's), so the dozens of exit-temperature roots of one
+point, its residence time, and the points of one blow-out scan share them.
+Each products-temperature root is taken on the one table cell that holds
+its target, whose end residuals the table gives, so it starts from a
+bracket 225 K wide.
 
 No dissociation, no spatial resolution, ideal-gas mixtures throughout.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -42,6 +46,8 @@ NU_CHANNEL = 7.54  # laminar parallel-plate value, used for the recuperator
 INTERIOR_EFFECTIVENESS = 0.90  # fraction of capacity flux equilibrating with the wall
 AMBIENT_TEMPERATURE = 300.0  # K, heat-loss sink
 T_PRODUCTS_MAX = 3400.0  # K, upper end of every products-temperature root
+# K, 225 K apart: where _products holds the products' enthalpy
+PRODUCTS_TABLE = tuple(gas.T_MIN + (T_PRODUCTS_MAX - gas.T_MIN) * i / 14 for i in range(15))
 
 # Scan grid used to locate the lean-blowout mass flow, kg/s.
 BLOWOUT_SCAN_FLOWS = tuple(0.01e-3 + 0.0025e-3 * i for i in range(77))
@@ -132,13 +138,12 @@ def viscosity(t: float) -> float:
 
 class _Products(NamedTuple):
     """Unburned mixture and complete-combustion products of one equivalence
-    ratio, and the products' total enthalpies (J/kg) at the ends of every
-    products-temperature bracket."""
+    ratio, and the products' total enthalpies (J/kg) at the temperatures of
+    PRODUCTS_TABLE, the ends of every products-temperature bracket."""
 
     mixture: gas.GasComposition
     composition: gas.GasComposition
-    h_min: float  # at gas.T_MIN
-    h_max: float  # at T_PRODUCTS_MAX
+    enthalpies: tuple  # at each temperature of PRODUCTS_TABLE
 
 
 # The callers ask for one phi many times in a row (the property calls of a
@@ -150,16 +155,21 @@ def _products(phi: float) -> _Products:
     RichMixtureError above 1."""
     mixture = gas.unburned_mixture(phi)
     composition = gas.burned_composition(phi)
-    return _Products(mixture, composition, gas.enthalpy_mass(composition, gas.T_MIN),
-                     gas.enthalpy_mass(composition, T_PRODUCTS_MAX))
+    return _Products(mixture, composition,
+                     tuple(gas.enthalpy_mass(composition, t) for t in PRODUCTS_TABLE))
 
 
 def _products_temperature(products: _Products, target: float, what: str) -> float:
     """Temperature at which the products' total enthalpy is target (J/kg),
-    bracketed by [gas.T_MIN, T_PRODUCTS_MAX]; SolverError names `what`."""
+    bracketed by the PRODUCTS_TABLE cell that holds target.  A target
+    outside the table keeps the whole table as its bracket, so SolverError
+    names `what` and its residuals at gas.T_MIN and T_PRODUCTS_MAX."""
+    h = products.enthalpies
+    i = bisect.bisect(h, target)
+    lo, hi = (i - 1, i) if 0 < i < len(h) else (0, len(h) - 1)
     return bracketed_root(lambda t: gas.enthalpy_mass(products.composition, t) - target,
-                          gas.T_MIN, T_PRODUCTS_MAX, products.h_min - target,
-                          products.h_max - target, what)
+                          PRODUCTS_TABLE[lo], PRODUCTS_TABLE[hi], h[lo] - target,
+                          h[hi] - target, what)
 
 
 def adiabatic_flame_temperature(phi: float, inlet_temperature: float) -> float:
@@ -273,7 +283,7 @@ def _solve_thermal(geometry: CombustorGeometry, op: CombustorOperatingPoint):
     # leaving no exit temperature on the tables; such a chamber still burns,
     # with a wall below the inlet, so its iteration starts at the sink.
     t_w = max(t_in, AMBIENT_TEMPERATURE)
-    if t_in > AMBIENT_TEMPERATURE and exit_target(t_in) < products.h_min:
+    if t_in > AMBIENT_TEMPERATURE and exit_target(t_in) < products.enthalpies[0]:
         t_w = AMBIENT_TEMPERATURE
     for _ in range(400):
         t_w_new, t_e, eps = wall_update(t_w)

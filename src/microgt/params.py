@@ -130,14 +130,19 @@ class Record:
 
 
 def bracketed_root(f, lo, hi, f_lo, f_hi, what):
-    """Root of f on [lo, hi] by the Illinois modified regula falsi.
+    """Root of f on [lo, hi] by the Anderson-Bjorck modified regula falsi.
 
     f_lo and f_hi are f(lo) and f(hi), which the caller evaluates, so that
     a caller solving many roots on one bracket can hold the parts of them
     that do not change.  They must be finite and of opposite sign (or
-    zero), else SolverError names `what`.  Superlinear like Brent's method
-    (Dowell & Jarratt, BIT 11, 1971).  An exception raised by f leaves at
-    once, unchanged, so a caller can stop the steps from inside f.
+    zero), else SolverError names `what`.  When a step keeps the same end
+    twice, that end's residual is scaled by m = 1 - f_new / f_old, the
+    residual ratio of the end the step replaced, or by 1/2 when m <= 0
+    (Anderson & Bjorck, BIT 13, 1973).  The Illinois variant always halves
+    it (Dowell & Jarratt, BIT 11, 1971); both are superlinear like Brent's
+    method, and Anderson-Bjorck converges faster on smooth f.  An exception
+    raised by f leaves at once, unchanged, so a caller can stop the steps
+    from inside f.
     """
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
         raise SolverError(
@@ -157,14 +162,16 @@ def bracketed_root(f, lo, hi, f_lo, f_hi, what):
         if f_x == 0.0:
             return x
         if (f_x > 0.0) == (f_hi > 0.0):
+            m = 1.0 - f_x / f_hi
             hi, f_hi = x, f_x
             if side == 1:
-                f_lo *= 0.5
+                f_lo *= m if m > 0.0 else 0.5
             side = 1
         else:
+            m = 1.0 - f_x / f_lo
             lo, f_lo = x, f_x
             if side == -1:
-                f_hi *= 0.5
+                f_hi *= m if m > 0.0 else 0.5
             side = -1
         if hi - lo <= ROOT_RTOL * abs(x):
             return x

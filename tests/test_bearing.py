@@ -815,7 +815,7 @@ def equilibrium_case(case):
         # the imbalance is exactly 0 at the scan point c_top = 10 um
         "symmetric-zero-end": ((BEARING, BEARING, 20.0e-6, 0.0, FILM), {"scan_points": 17}),
         "symmetric-1e-5": ((BEARING, BEARING, 20.0e-6, 1.0e-5, FILM), {"scan_points": 17}),
-        # the one Illinois run takes more steps here than restarts per level did
+        # the one bracketed_root run takes more steps here than restarts per level did
         "engine-0-9": (equilibrium_args(engine_study_9()), {}),
         # below 12 grooves, where narrow_groove_reference warns
         "grooves-8": (equilibrium_args(default_config().with_value(
@@ -1016,3 +1016,22 @@ def test_equilibrium_bisects_past_a_wrong_model(monkeypatch):
     assert any(stalled)
     assert all(m for m, s in zip(midpoint, stalled) if s)
     assert len(solves) <= 46  # bisected_equilibrium takes 48
+
+
+def test_equilibrium_bisects_where_the_model_is_not_finite(monkeypatch):
+    """A narrow-groove model that is nan everywhere but at the 48 scan
+    points seeds the scan as the true one does, but the corrected model is
+    not finite inside the scan cell.  Each step then targets the midpoint of
+    [a, b], and the equilibrium is the default's, converged."""
+    args, options = equilibrium_case("default")
+    expected = br.axial_equilibrium(*args, **options)
+    gap = args[2]
+    c_scan = np.linspace(0.02, 0.98, 48) * gap
+    scan_clearances = np.concatenate([c_scan, gap - c_scan])
+    true_model = br._narrow_groove_load
+    monkeypatch.setattr(br, "_narrow_groove_load", lambda bearing, film, c: np.where(
+        np.isin(c, scan_clearances), true_model(bearing, film, c), np.nan))
+    eq = br.axial_equilibrium(*args, **options)
+    assert eq.converged
+    assert (eq.top_clearance, eq.bottom_clearance) == (expected.top_clearance,
+                                                       expected.bottom_clearance)

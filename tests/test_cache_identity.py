@@ -1,11 +1,13 @@
 """The per-phi record of the combustor changes no bit of any answer.
 
 combustor._products builds the mixture and the products of each
-equivalence ratio, and the products' enthalpies at the bracket ends, once
-per phi.  The values below are float.hex pins of the same calls made before
-any composition was cached; each must come out the same from a cold cache
-and from a warm one.  run_cycle does not reach the cache (cycle.combust
-builds its products itself) and is pinned all the same.
+equivalence ratio, and the products' enthalpies at the temperatures of
+combustor.PRODUCTS_TABLE, once per phi.  The values below are float.hex
+pins of the same calls, each rooted by the Anderson-Bjorck steps of
+params.bracketed_root on the table cell that holds its target; each must
+come out the same from a cold cache and from a warm one.  run_cycle does
+not reach the cache (cycle.combust builds its products itself) and is
+pinned all the same.
 """
 
 from dataclasses import replace
@@ -31,19 +33,19 @@ def cold_and_warm(compute):
 STABILITY_PINS = [
     (GEOM, OP(), True,
      ("0x1.0026e2b9b3ce3p-13", "0x1.2463dc719f109p-17", "0x1.c08b394e7b7dbp+3",
-      "0x1.885d6209779c9p+10", "0x1.20568fffbd955p+9")),
+      "0x1.885d6209779cap+10", "0x1.20568fffbd955p+9")),
     (GEOM, OP(0.10e-3, 0.8), True,
      ("0x1.88f4d5c5db32ap-13", "0x1.018abc159cdedp-15", "0x1.869a8cee7aa31p+2",
-      "0x1.78c992c2cf2c3p+10", "0x1.f5bbd227c6ea9p+8")),
+      "0x1.78c992c2cf2c1p+10", "0x1.f5bbd227c6eaap+8")),
     (GEOM_06, OP(0.15e-3, 0.6), True,
-     ("0x1.3fb738e5d126ep-14", "0x1.553ce398d8477p-15", "0x1.dfb52fee3aa41p+0",
-      "0x1.499dbc83fc825p+10", "0x1.fdf6be9ab8e94p+8")),
+     ("0x1.3fb738e5d1271p-14", "0x1.553ce398d8497p-15", "0x1.dfb52fee3aa19p+0",
+      "0x1.499dbc83fc826p+10", "0x1.fdf6be9ab8e92p+8")),
     # hot inlet: the wall settles below the inlet
     (GEOM, OP(4e-5, 0.7, 600.0), True,
-     ("0x1.176651df16dbdp-11", "0x1.c22bce22d8e73p-12", "0x1.3dc61f9f64a90p+0",
-      "0x1.4c8eabc53c607p+10", "0x1.95adc8259f06bp+8")),
+     ("0x1.176651df16dbep-11", "0x1.c22bce22d8e73p-12", "0x1.3dc61f9f64a92p+0",
+      "0x1.4c8eabc53c608p+10", "0x1.95adc8259f06bp+8")),
     (GEOM_06, OP(1.0e-3, 0.5), False,
-     ("0x1.a50726d7fcaacp-17", "0x1.d64e3c7946e0cp-17", "0x1.ca5a8a4115765p-1",
+     ("0x1.a50726d7fcaaep-17", "0x1.d64e3c7946defp-17", "0x1.ca5a8a4115783p-1",
       "0x1.2c00000000000p+8", "0x1.2c00000000000p+8")),
 ]
 
@@ -66,7 +68,7 @@ def test_blowout_mass_flow_keeps_its_bits(phi, pin):
 @pytest.mark.parametrize("phi, t_in, pin", [(0.8, 300.0, "0x1.143efc76571c2p+11"),
                                             (0.5, 700.0, "0x1.f0f52baa9f013p+10"),
                                             (1.0, 300.0, "0x1.3b483303422f3p+11"),
-                                            (0.3, 1200.0, "0x1.f4a72d8069bf4p+10")])
+                                            (0.3, 1200.0, "0x1.f4a72d8069bf5p+10")])
 def test_adiabatic_flame_temperature_keeps_its_bits(phi, t_in, pin):
     for t in cold_and_warm(lambda: cb.adiabatic_flame_temperature(phi, t_in)):
         assert t.hex() == pin
@@ -90,22 +92,26 @@ def test_run_cycle_keeps_its_bits(design, pins):
 
 
 @pytest.mark.parametrize("target, pin", [(-2.0e6, "0x1.b8e4fc14d6c87p+9"),
-                                         (-1.0e6, "0x1.89818df7a5ed9p+10"),
+                                         (-1.0e6, "0x1.89818df7a5edap+10"),
                                          (0.0, "0x1.140f3560e7a83p+11")])
 def test_held_bracket_enthalpies_give_the_evaluated_root(target, pin):
-    """Endpoint residuals formed from the held bracket enthalpies equal
-    f(lo) and f(hi), so the root is the one bracketed_root found when it
-    evaluated its ends itself (the pin)."""
+    """The held enthalpies are the products' enthalpies at the table's
+    temperatures, so the endpoint residuals of the table cell that holds
+    target equal f(lo) and f(hi) there, and the root is the one
+    bracketed_root finds when it evaluates that cell's ends itself (the
+    pin)."""
     products = cb._products(0.8)
     composition = products.composition
 
     def f(t):
         return gas.enthalpy_mass(composition, t) - target
 
-    assert products.h_min - target == f(gas.T_MIN)
-    assert products.h_max - target == f(cb.T_PRODUCTS_MAX)
-    evaluated = bracketed_root(f, gas.T_MIN, cb.T_PRODUCTS_MAX, f(gas.T_MIN),
-                               f(cb.T_PRODUCTS_MAX), "test")
+    assert products.enthalpies == tuple(gas.enthalpy_mass(composition, t)
+                                        for t in cb.PRODUCTS_TABLE)
+    hi = next(i for i, t in enumerate(cb.PRODUCTS_TABLE) if f(t) > 0.0)
+    lo_t, hi_t = cb.PRODUCTS_TABLE[hi - 1], cb.PRODUCTS_TABLE[hi]
+    assert f(lo_t) < 0.0 < f(hi_t)
+    evaluated = bracketed_root(f, lo_t, hi_t, f(lo_t), f(hi_t), "test")
     held = cb._products_temperature(products, target, "test")
     assert evaluated.hex() == held.hex() == pin
 

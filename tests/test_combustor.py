@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from microgt import combustor as cb
 from microgt import gas
 from microgt.combustor import (ChemicalTimeModel, CombustorGeometry,
                                CombustorOperatingPoint)
+from microgt.params import ROOT_RTOL, SolverError
 
 GEOM_12 = CombustorGeometry()  # 1.2 mm chamber
 GEOM_06 = CombustorGeometry(chamber_height=0.6e-3)
@@ -68,6 +70,30 @@ def test_flame_temperature_lean():
 def test_flame_temperature_rejects_rich():
     with pytest.raises(gas.RichMixtureError):
         cb.adiabatic_flame_temperature(1.1, 300.0)
+
+
+def test_flame_above_the_table_has_no_root():
+    """A flame above T_PRODUCTS_MAX, phi = 1 from a 1500 K inlet, is above
+    the whole table and raises, naming the table's ends."""
+    with pytest.raises(SolverError, match=r"adiabatic flame temperature: no root in \[250, 3400\]"):
+        cb.adiabatic_flame_temperature(1.0, 1500.0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(phi=st.floats(0.0, 1.0),
+       temperature=st.floats(gas.T_MIN, cb.T_PRODUCTS_MAX) | st.sampled_from(cb.PRODUCTS_TABLE))
+def test_products_temperature_brackets_a_sign_change(phi, temperature):
+    """For a target anywhere across the table, the table nodes included,
+    h(T) - target changes sign within +-ROOT_RTOL * T of the returned T,
+    with h evaluated here and not read from the held table."""
+    products = cb._products(phi)
+    composition = products.composition
+    target = gas.enthalpy_mass(composition, temperature)
+    t = cb._products_temperature(products, target, "test")
+    reach = ROOT_RTOL * t
+    below = gas.enthalpy_mass(composition, max(t - reach, gas.T_MIN)) - target
+    above = gas.enthalpy_mass(composition, min(t + reach, cb.T_PRODUCTS_MAX)) - target
+    assert below <= 0.0 <= above
 
 
 def test_preheat_zero_length_channel():
@@ -133,6 +159,23 @@ def test_thermal_solve_shares_one_recuperator(monkeypatch):
     cb._solve_thermal(*points[0])
     assert counts["_recuperator"] > 1
     assert counts["cp_mass"] == 2 * counts["_recuperator"]
+
+
+def test_default_point_roots_on_the_enthalpy_table(monkeypatch):
+    """From a cold products cache the default point makes at most 110
+    enthalpy_mass calls: 15 for the held table and about 5 for each of its
+    products-temperature roots, each taken on one table cell."""
+    calls = []
+    original = gas.enthalpy_mass
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+    monkeypatch.setattr(gas, "enthalpy_mass", counted)
+    cb._products.cache_clear()
+    assert cb.stability(GEOM_12, CombustorOperatingPoint()).stable
+    assert calls[:len(cb.PRODUCTS_TABLE)] == list(cb.PRODUCTS_TABLE)
+    assert len(calls) <= 110
 
 
 def test_preheat_requires_wall_at_or_above_inlet():

@@ -135,6 +135,42 @@ def test_bracketed_root_finds_a_root_superlinearly():
     assert len(calls) < 30  # bisection needs ~45 halvings for this width
 
 
+def first_three_points(f, lo, hi):
+    """The first three points bracketed_root evaluates on [lo, hi]."""
+    calls = []
+
+    def recorded(x):
+        calls.append(x)
+        return f(x)
+    bracketed_root(recorded, lo, hi, f(lo), f(hi), "test")
+    return calls[:3]
+
+
+def test_bracketed_root_scales_an_end_kept_twice_by_the_residual_ratio():
+    """x^3 - 2 on [0, 2]: the first two steps both replace lo, so the third
+    secant runs to (2, 6 m) with m = 1 - f(x2) / f(x1) (Anderson-Bjorck),
+    not to (2, 3) as halving would."""
+    def f(x):
+        return x ** 3 - 2.0
+
+    x1, x2, x3 = first_three_points(f, 0.0, 2.0)
+    assert f(x1) < 0.0 and f(x2) < 0.0
+    f_hi = 6.0 * (1.0 - f(x2) / f(x1))
+    assert x3 == (x2 * f_hi - 2.0 * f(x2)) / (f_hi - f(x2))
+
+
+def test_bracketed_root_halves_an_end_kept_twice_when_the_ratio_is_not_positive():
+    """f falls on [0, 1.9) and is 10 (x - 1.95) above it: the second step
+    replaces lo with a larger residual than the first left, so m <= 0 and
+    the kept end's residual 0.5 is halved instead."""
+    def f(x):
+        return -1.0 - x if x < 1.9 else 10.0 * (x - 1.95)
+
+    x1, x2, x3 = first_three_points(f, 0.0, 2.0)
+    assert f(x2) < f(x1) < 0.0
+    assert x3 == (x2 * 0.25 - 2.0 * f(x2)) / (0.25 - f(x2))
+
+
 def test_bracketed_root_rejects_an_unbracketed_interval():
     with pytest.raises(SolverError, match="no root"):
         bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0, "test")
