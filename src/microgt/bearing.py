@@ -43,16 +43,20 @@ Jacobian value is bit-identical to one residual call per box colour, and
 the pattern holds the reach only, less the exact zeros each Jacobian drops.
 The colour masks and the CSC pattern depend only on the grid and the groove
 pattern and are built once per pair, so each Newton step only fills the
-values.  The Jacobian is factored by SuperLU
-with minimum-degree ordering on A^T + A in symmetric mode, since the
-stencil is structurally symmetric.  A factorisation costs more than a
-Jacobian, so factors are reused (Knoll and Keyes, 2004): each Newton step
-is solved against its own Jacobian by iterative refinement with a held
-factor (Moler, 1967), to 1e-12 of the step, and factors afresh only when
-the corrections stop contracting.  A JacobianFactor carries the factor
-across the neighbouring clearances of axial_stiffness and
-axial_equilibrium.  scipy is imported only where a Jacobian is built or
-factored, so a process that solves no Reynolds equation never loads it.
+values.  The fill-reducing order is built with them: SuperLU's minimum-degree
+ordering on A^T + A (Liu, 1985), since the stencil is structurally
+symmetric, computed once from the pattern, whose rows and columns are then
+laid out in that order.  So each Jacobian is assembled already ordered and
+is factored by SuperLU (Demmel et al., 1999) in natural order and symmetric
+mode; the Newton step gathers the residual into that order and scatters the
+step back.  A factorisation costs more than a Jacobian, so factors are
+reused (Knoll and Keyes, 2004): each Newton step is solved against its own
+Jacobian by iterative refinement with a held factor (Moler, 1967), to 1e-12
+of the step, and factors afresh only when the corrections stop contracting.
+A JacobianFactor carries the factor across the neighbouring clearances of
+axial_stiffness and axial_equilibrium.  scipy is imported only where a
+Jacobian is built or factored, so a process that solves no Reynolds
+equation never loads it.
 
 The narrow-groove (infinite-groove-number) reference evaluates the
 classical effective-medium solution in the incompressible limit.  It
@@ -262,23 +266,46 @@ def _jacobian_pattern(n_rows: int, n_theta: int, reach_left: bytes, reach_right:
     """Structure of the colored finite-difference Jacobian of a grid and
     the reach masks of its groove pattern (_reach, as bytes), built once per
     grid and groove pattern and read-only: a boolean mask over the n_theta
-    columns per column colour of _colored_stencil, and the CSC pattern of
-    the reach, columns being sources and rows ascending within a column, as
-    the flat index of each entry's value in the (colour, cell) array of
-    residual differences, its row and the column pointers.
+    columns per column colour of _colored_stencil, the cell of each
+    unknown's position in the minimum-degree order of the reach, and the
+    CSC pattern of the reach in that order, columns being sources and rows
+    ascending within a column, as the int32 flat index of each entry's
+    value in the (colour, cell) array of residual differences, its row and
+    the column pointers.
+
+    The order is SuperLU's MMD_AT_PLUS_A column order, with its
+    elimination-tree postorder, of the reach in cell order; factored in
+    natural order, the reordered Jacobian is eliminated as that ordering
+    would eliminate it, without recomputing the ordering.  Minimum degree
+    breaks ties by the input numbering, so it must see cell order: given an
+    ordered matrix it picks another order, which can fill far more.  The
+    order is read off an incomplete factor that drops every off-diagonal
+    entry of a matrix on the reach whose diagonal dominates (an all-ones
+    matrix is singular), so the ordering is its only sizeable work.
     """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import spilu
     source, target, entry_colour, colour = _colored_stencil(
         n_rows, n_theta, np.frombuffer(reach_left, dtype=bool),
         np.frombuffer(reach_right, dtype=bool))
     n_unknown = n_rows * n_theta
-    order = np.lexsort((target, source))
-    gather = entry_colour[order].astype(np.intp) * n_unknown + target[order]
-    indices = target[order]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(source, minlength=n_unknown))))
+    # a column holds at most 24 entries besides its diagonal
+    reach = csc_matrix((np.where(source == target, 25.0, 1.0), (target, source)),
+                       shape=(n_unknown, n_unknown))
+    position = spilu(reach, drop_tol=np.inf, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.1, options={"SymmetricMode": True}).perm_c
+    del reach  # before the sort's temporaries
+    cells = np.argsort(position)
+    column, row = position[source], position[target]
+    order = np.lexsort((row, column))
+    # int32 like the stencil: 30 colours x config.MAX_GRID_NODES cells fit
+    gather = entry_colour[order] * n_unknown + target[order]
+    indices = row[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(column, minlength=n_unknown))))
     masks = colour[0] == np.arange(int(colour[0].max()) + 1)[:, None]
-    for array in (masks, gather, indices, indptr):
+    for array in (masks, cells, gather, indices, indptr):
         array.flags.writeable = False
-    return masks, gather, indices, indptr
+    return masks, cells, gather, indices, indptr
 
 
 def splu(jac, **options):
@@ -322,7 +349,8 @@ def _newton_step(jac, rhs, factor: JacobianFactor):
                 break
             last = change
     factor.lu = None  # free the stale factor before making the next one
-    factor.lu = splu(jac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+    # jac comes in _jacobian_pattern's minimum-degree order
+    factor.lu = splu(jac, permc_spec="NATURAL", diag_pivot_thresh=0.1,
                      options={"SymmetricMode": True})
     return factor.lu.solve(rhs)
 
@@ -568,18 +596,19 @@ def _colour_differences(co: _Coefficients, base_terms, base, masks):
 def _jacobian(co: _Coefficients, terms, base):
     """Colored finite-difference Jacobian of the residual at the full field
     q, whose row terms (_row_terms) are terms and residual is base; CSC
-    without explicit zeros."""
+    without explicit zeros, its rows and columns in the minimum-degree order
+    of _jacobian_pattern.  Returns it and the flat cell of each position."""
     from scipy.sparse import csc_matrix
     n_r, n_theta = terms[0].shape
     reach_left, reach_right = _reach(co)
-    masks, gather, indices, indptr = _jacobian_pattern(
+    masks, cells, gather, indices, indptr = _jacobian_pattern(
         n_r - 2, n_theta, reach_left.tobytes(), reach_right.tobytes())
     delta = _colour_differences(co, terms, base, masks)
     # eliminate_zeros compacts indices and indptr in place
     jac = csc_matrix((delta.ravel()[gather], indices.copy(), indptr.copy()),
                      shape=(base.size, base.size))
     jac.eliminate_zeros()
-    return jac
+    return jac, cells
 
 
 def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
@@ -647,10 +676,12 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
         if iteration - history.index(min(history)) >= NEWTON_STALL_ITERATIONS:
             raise SolverError(f"residual stopped falling at iteration {iteration}", history)
         try:
-            step = _newton_step(_jacobian(co, terms, f), -f.ravel(), factor
-                                ).reshape(f.shape)
+            jac, cells = _jacobian(co, terms, f)
+            ordered = _newton_step(jac, -f.ravel()[cells], factor)
         except RuntimeError as exc:  # SuperLU: the Jacobian is singular
             raise SolverError(f"{exc} at iteration {iteration}", history) from exc
+        step = np.empty(f.shape)
+        step.ravel()[cells] = ordered  # each cell's entry of the ordered step
         # A finite residual near the float limit has an inf norm; the stall
         # test, not a numpy warning, reports a solve that then stops falling.
         with np.errstate(over="ignore"):

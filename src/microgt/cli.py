@@ -10,7 +10,6 @@ config are byte-identical.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -299,7 +298,10 @@ def run(subcommand: str, config: ScenarioConfig, out_dir: Path, sweep=None) -> i
             STAGES[stage](config, bundle, sweep)
             for name, (header, rows) in list(bundle.tables.items())[made:]:
                 for column, values in zip(header, zip(*rows)):
-                    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+                    floats = np.array(values)
+                    if floats.dtype.kind != "f":  # strings, integers or None
+                        floats = np.array([v for v in values if isinstance(v, float)])
+                    if not np.isfinite(floats).all():
                         raise ArithmeticError(f"{name}: {column} not finite")
         except (SolverError, ValueError, ArithmeticError) as exc:
             return _failed(stage, exc)  # gas.RichMixtureError is a ValueError

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
@@ -577,26 +578,28 @@ JACOBIAN_FACES = {"pump-in": BEARING,
 def test_jacobian_matches_one_residual_call_per_colour(n_r, n_theta, face):
     """The reach colouring, with the row-local half of the residual
     evaluated once per column colour, leaves every Jacobian value
-    bit-identical to the box colouring's, at q = 1 and after one Newton step
-    at Lambda 30."""
+    bit-identical to the box colouring's, its rows and columns in the held
+    order, at q = 1 and after one Newton step at Lambda 30."""
     film = FilmState(nominal_clearance=1.5e-6, rpm=121500.0)
     co = br._coefficients(JACOBIAN_FACES[face], film, n_r, n_theta)
 
     def check(q):
         base = br._residual(co, q)
-        jac = br._jacobian(co, br._row_terms(co, q), base)
+        jac, cells = br._jacobian(co, br._row_terms(co, q), base)
         csr = jac.tocsr()
         csr.sort_indices()
-        expected = per_colour_jacobian(co, q, base)
+        expected = per_colour_jacobian(co, q, base)[cells][:, cells]
+        expected.sort_indices()
         assert np.array_equal(csr.indptr, expected.indptr)
         assert np.array_equal(csr.indices, expected.indices)
         assert np.array_equal(csr.data, expected.data)
-        return jac, base
+        return jac, cells, base
 
     q = np.ones((n_r, n_theta))
-    jac, base = check(q)
-    q[1:-1] += br._newton_step(jac, -base.ravel(), br.JacobianFactor()).reshape(
-        n_r - 2, n_theta)
+    jac, cells, base = check(q)
+    step = np.empty(base.size)
+    step[cells] = br._newton_step(jac, -base.ravel()[cells], br.JacobianFactor())
+    q[1:-1] += step.reshape(n_r - 2, n_theta)
     assert q.min() > 0.0
     check(q)
 
@@ -634,6 +637,65 @@ def test_jacobian_pattern_is_kept_per_groove_pattern():
     br._jacobian_pattern.cache_clear()
     assert [br.solve_load(face, FILM, 33, 64) for face in faces] == alone
     assert br._jacobian_pattern.cache_info().currsize == 2
+
+
+ORDER_FACES = {"default": BEARING, "40-grooves": KINKED_FACES["40-grooves"],
+               "16-grooves-0.23": KINKED_FACES["16-grooves-0.23"],
+               "ungrooved": SpiralGrooveBearing(groove_depth=0.0),
+               "pump-out-35": SpiralGrooveBearing(spiral_angle=35.0,
+                                                  pump_direction="pump-out")}
+
+
+@pytest.mark.parametrize("face, n_r, n_theta", [
+    (face, n_r, n_theta) for n_r, n_theta in [(33, 64), (33, 80), (65, 96)]
+    for face in ORDER_FACES] + [("default", 129, 192)])
+def test_held_order_is_superlus_minimum_degree_order(face, n_r, n_theta):
+    """The Jacobian in the held order, factored in natural order, eliminates
+    as SuperLU's MMD_AT_PLUS_A ordering of the Jacobian in cell order does:
+    the same column order, the same fill and every pivot on the diagonal,
+    at q = 1 and after one Newton step at Lambda 30 (40 grooves at 33x80
+    drop exact zeros from the reach)."""
+    film = FilmState(nominal_clearance=1.5e-6, rpm=121500.0)
+    co = br._coefficients(ORDER_FACES[face], film, n_r, n_theta)
+    q = np.ones((n_r, n_theta))
+    options = {"diag_pivot_thresh": 0.1, "options": {"SymmetricMode": True}}
+    for _ in range(2):
+        terms = br._row_terms(co, q)
+        base = br._cross_rows(co, terms)
+        jac, cells = br._jacobian(co, terms, base)
+        position = np.argsort(cells)
+        in_cells = jac[position][:, position].tocsc()
+        in_cells.sort_indices()
+        expected = br.splu(in_cells, permc_spec="MMD_AT_PLUS_A", **options)
+        held = br.splu(jac, permc_spec="NATURAL", **options)
+        assert np.array_equal(expected.perm_c, position)
+        assert held.nnz == expected.nnz
+        assert np.array_equal(held.perm_c, np.arange(base.size))
+        assert np.array_equal(held.perm_r, held.perm_c)
+        step = np.empty(base.size)
+        step[cells] = held.solve(-base.ravel()[cells])
+        q[1:-1] += step.reshape(base.shape)
+
+
+def test_held_order_is_computed_once_per_groove_pattern(monkeypatch):
+    """The top and bottom faces, in both pump directions, share one groove
+    pattern: their solves share one cache entry, whose order is computed
+    once."""
+    orders = []
+    spilu = scipy.sparse.linalg.spilu
+
+    def counted(*args, **kwargs):
+        orders.append(args)
+        return spilu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spilu", counted)
+    config = default_config()
+    faces = [config.bearing_face("top"), config.bearing_face("bottom")]
+    br._jacobian_pattern.cache_clear()
+    for face in faces + [replace(f, pump_direction="pump-out") for f in faces]:
+        br.solve_load(face, FILM, 33, 64)
+    assert br._jacobian_pattern.cache_info().currsize == 1
+    assert len(orders) == 1
 
 
 def count_calls(monkeypatch, name):
