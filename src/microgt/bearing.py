@@ -61,8 +61,9 @@ equation never loads it.
 The narrow-groove (infinite-groove-number) reference evaluates the
 classical effective-medium solution in the incompressible limit.  It
 cross-checks the numerical load and steers axial_equilibrium's scan and,
-scaled by each face's 2D/model load ratio, the narrowing of its bracket
-on the bisection's own midpoints.
+scaled by each face's 2D/model load ratio, the narrowing steps inside its
+one bisection loop, each of which solves one of the bisection's own
+midpoints.
 """
 
 from __future__ import annotations
@@ -811,58 +812,6 @@ def axial_stiffness(bearing: SpiralGrooveBearing, film: FilmState,
     return -(load_hi - load_lo) / (2.0 * dc)
 
 
-def _narrowed_bracket(net, model, a, b, external_load, width):
-    """The solved bracket a, b of axial_equilibrium's root, each end (c_top,
-    *net(c_top)), narrowed on the bisection's lattice: the points 0.5 * (lo
-    + hi) that halving the first [a, b], the scan cell, gives, down to the
-    first cells width wide or less.  Returns the ends' c_top once no lattice
-    point lies strictly between them, or twice an end whose imbalance is 0.
-    A step roots, with bracketed_root, the faces' model loads scaled by their
-    2D/model ratios, interpolated linearly in c_top between a and b so as to
-    equal the solved imbalance at both ends (output space mapping, Bandler
-    et al., 1994); a face whose ratio is not finite (no model load) takes 1,
-    and so adds its model load of 0.  After a step that did not halve
-    |imbalance|, or when the corrected model is not finite at a point the
-    root evaluates, the target is the midpoint instead.  The lattice point
-    strictly inside [a, b] nearest the target is solved and replaces the end
-    on its side."""
-    cell, last, stalled = (a[0], b[0]), math.inf, False
-    while True:
-        (c_a, f_a, *w_a), (c_b, f_b, *w_b) = a, b
-        if 0.0 in (f_a, f_b):
-            return (c_a, c_a) if f_a == 0.0 else (c_b, c_b)
-        target = 0.5 * (c_a + c_b)
-        if not stalled:
-            with np.errstate(all="ignore"):  # a face with no model load has no ratio
-                k = np.array([w_a, w_b]) / [model(c_a), model(c_b)]
-                k[~np.isfinite(k)] = 1.0
-
-                def corrected(x):
-                    w = (k[0] + (k[1] - k[0]) * ((x - c_a) / (c_b - c_a))) * model(x)
-                    value = w[0] - w[1] - external_load
-                    if not math.isfinite(value):
-                        raise FloatingPointError("corrected model not finite")
-                    return value
-                try:
-                    target = bracketed_root(corrected, c_a, c_b, f_a, f_b, "axial equilibrium")
-                except FloatingPointError:
-                    pass  # the midpoint target stands
-        (lo, hi), inside = cell, []
-        while True:  # down the bisection's cells toward target
-            mid = 0.5 * (lo + hi)
-            if c_a < mid < c_b:
-                inside.append(mid)
-            if hi - lo <= width:
-                break
-            lo, hi = (lo, mid) if target < mid else (mid, hi)
-        if not inside:
-            return c_a, c_b
-        c = min(inside, key=lambda x: abs(x - target))
-        end = (c, *net(c))
-        last, stalled = abs(end[1]), abs(end[1]) > 0.5 * last
-        a, b = (a, end) if (end[1] > 0.0) == (f_b > 0.0) else (end, b)
-
-
 def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
                       total_gap: float, external_load: float, film: FilmState,
                       load_tolerance: float = 1.0e-6,
@@ -891,25 +840,33 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     NoEquilibriumError is raised only once every point is solved.  With
     one sign change on the grid the walk ends in the cell that a scan up
     from the low end finds; with several, in the first it meets, perhaps
-    not the first from the low end.  Then it bisects the scan
-    cell to a 1e-10 m bracket with |net_load - external_load| <=
-    load_tolerance, solving a midpoint only where its side is unknown.
-    Before the bisection, the corrected model of _narrowed_bracket narrows
-    [a, b], the scan cell, on the bisection's own midpoints until no
-    midpoint lies between its solved ends, or to the one point whose
-    imbalance is exactly 0.  A midpoint of a wider bracket at or below a
-    takes the c_lo side, one at or above b the c_hi side; the others, and
-    the midpoints of brackets of 1e-10 m or less, whose loads are returned,
-    are solved, each c_top once, so the last midpoint, a or b, costs no
-    solve.  Assumed: the imbalance crosses zero once in
-    the scan cell (2.04% of the gap at 48 scan points), so each side is the
-    one a solve would give.  Were there more crossings, the answer would
-    still be a solved root in that cell to 1e-10 m, perhaps not the
-    crossing plain bisection picks.  Every film is solved on
-    EQUILIBRIUM_GRID, and each face's solves refine against the factor its
-    previous solves left.  stable is whether the imbalance falls from the
-    low end of the scan cell to its high end, so that a push toward either
-    face meets a restoring force; it takes no solve.
+    not the first from the low end.  Then it bisects the scan cell to a
+    1e-10 m bracket with |net_load - external_load| <= load_tolerance,
+    and keeps [a, b], the solved ends of the root's bracket, from the scan
+    cell's on.  A midpoint of a wider bisection cell at or below a takes
+    the c_lo side, one at or above b the c_hi side, unsolved.  While the midpoint lies strictly inside (a, b), a narrowing
+    step solves one point, which replaces the end on its side; a point or
+    scan end whose imbalance is exactly 0 becomes both ends.  The step
+    roots, with bracketed_root, the faces' model loads scaled by their
+    2D/model ratios, interpolated linearly in c_top between a and b so as
+    to equal the solved imbalance at both ends (output space mapping,
+    Bandler et al., 1994); a face whose ratio is not finite (no model load)
+    takes 1, and so adds its model load of 0.  After a step that did not
+    halve |imbalance|, or when the corrected model is not finite at a point
+    the root evaluates, the target is the midpoint of [a, b] instead.  It
+    solves the point nearest the target among the midpoints strictly inside
+    (a, b) that halving the bisection's cell toward the target gives, down
+    to the first cell 1e-10 m wide or less.  The midpoints of cells 1e-10 m
+    wide or less, whose loads are returned, are solved, each c_top once, so
+    the last midpoint, a or b, costs no solve.  Assumed: the imbalance
+    crosses zero once in the scan cell (2.04% of the gap at 48 scan
+    points), so each side is the one a solve would give.  Were there more
+    crossings, the answer would still be a solved root in that cell to
+    1e-10 m, perhaps not the crossing plain bisection picks.  Every film is
+    solved on EQUILIBRIUM_GRID, and each face's solves refine against the
+    factor its previous solves left.  stable is whether the imbalance falls
+    from the low end of the scan cell to its high end, so that a push
+    toward either face meets a restoring force; it takes no solve.
     """
     if total_gap <= 0.0:
         raise ValueError("total_gap must be positive")
@@ -926,6 +883,13 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     def model(c_top):
         return np.array([_narrow_groove_load(top, film, c_top),
                          _narrow_groove_load(bottom, film, total_gap - c_top)])
+
+    def corrected(c_top):  # the model through the solved ends a, b, by ratios k
+        w = (k[0] + (k[1] - k[0]) * ((c_top - a[0]) / (b[0] - a[0]))) * model(c_top)
+        value = w[0] - w[1] - external_load
+        if not math.isfinite(value):
+            raise FloatingPointError("corrected model not finite")
+        return value
 
     lo_frac, hi_frac = 0.02, 0.98
     c_scan = np.linspace(lo_frac, hi_frac, scan_points) * total_gap
@@ -958,15 +922,42 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     stable = scan_value(hi) < lo_val
 
     clearance_tolerance = 1.0e-10  # m, pins the split well below load noise
-    a, b = _narrowed_bracket(net, model, (c_lo, *net(c_lo)), (c_hi, *net(c_hi)),
-                             external_load, clearance_tolerance)
+    a, b = (c_lo, *net(c_lo)), (c_hi, *net(c_hi))  # each (c_top, *net(c_top))
+    if 0.0 in (a[1], b[1]):
+        a = b = a if a[1] == 0.0 else b
+    last, stalled = math.inf, False
     for _ in range(80):
         c_mid = 0.5 * (c_lo + c_hi)
-        if c_hi - c_lo > clearance_tolerance and not a < c_mid < b:
-            if c_mid >= b:
-                c_hi = c_mid
+        while c_hi - c_lo > clearance_tolerance and a[0] < c_mid < b[0]:
+            target = 0.5 * (a[0] + b[0])
+            if not stalled:
+                with np.errstate(all="ignore"):  # a face with no model load has no ratio
+                    k = np.array([a[2:], b[2:]]) / [model(a[0]), model(b[0])]
+                    k[~np.isfinite(k)] = 1.0
+                    try:
+                        target = bracketed_root(corrected, a[0], b[0], a[1], b[1],
+                                                "axial equilibrium")
+                    except FloatingPointError:
+                        pass  # the midpoint target stands
+            (x_lo, x_hi), inside = (c_lo, c_hi), []
+            while True:  # down the bisection's cells toward target
+                x = 0.5 * (x_lo + x_hi)
+                if a[0] < x < b[0]:
+                    inside.append(x)
+                if x_hi - x_lo <= clearance_tolerance:
+                    break
+                x_lo, x_hi = (x_lo, x) if target < x else (x, x_hi)
+            c = min(inside, key=lambda x: abs(x - target))
+            end = (c, *net(c))
+            last, stalled = abs(end[1]), abs(end[1]) > 0.5 * last
+            if end[1] == 0.0:
+                a = b = end
+            elif (end[1] > 0.0) == (b[1] > 0.0):
+                b = end
             else:
-                c_lo = c_mid
+                a = end
+        if c_hi - c_lo > clearance_tolerance:
+            c_lo, c_hi = (c_lo, c_mid) if c_mid >= b[0] else (c_mid, c_hi)
             continue
         imbalance, w_top, w_bot = net(c_mid)
         if abs(imbalance) <= load_tolerance and (c_hi - c_lo) <= clearance_tolerance:

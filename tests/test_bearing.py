@@ -900,9 +900,8 @@ def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, c
     midpoints whose side the solved bracket tells return the clearance of the
     low-end scan with a solve at every midpoint, bit for bit, with the same
     loads to rounding (each face's factor history differs) and fewer solves,
-    none of one face at one clearance twice.  So does the bisection alone,
-    when the bracket is not narrowed.  Only the model-sign-wrong root is
-    statically unstable."""
+    none of one face at one clearance twice.  Only the model-sign-wrong root
+    is statically unstable."""
     args, options = equilibrium_case(case)
     solves = count_calls(monkeypatch, "solve_reynolds")
     if case == "pump-out-bottom":
@@ -933,11 +932,6 @@ def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, c
                                "model-sign-wrong": 26, "ungrooved-bottom": 12}[case]
     if case == "symmetric-zero-end":
         assert bisected_solves == 48
-    if case in ("default", "model-sign-wrong"):
-        monkeypatch.setattr(br, "_narrowed_bracket", lambda net, model, a, b, *rest: (a[0], b[0]))
-        alone = br.axial_equilibrium(*args, **options)
-        assert alone.top_clearance == expected.top_clearance
-        assert alone.converged
 
 
 def test_equilibrium_reports_the_bisection_cap():
@@ -977,47 +971,59 @@ def bisection_lattice(c_lo, c_hi, width=1.0e-10):
     return sorted(points)
 
 
-def narrowing_steps(monkeypatch, case):
-    """Solve the named equilibrium and check how it narrows its solved
-    bracket: each step is one 2D evaluation (a Reynolds solve per face) at a
-    point of bisection_lattice of the scan cell, strictly inside the bracket
-    [a, b] before it, and replaces the end on its side; the loop ends with
-    both ends solved, of opposite signs and adjacent on the lattice, or at
-    an end whose imbalance is exactly 0.  Returns the equilibrium, (a, b,
-    point) per step, each a tuple (c_top, imbalance, top load, bottom load),
-    the lattice, and the solve_reynolds calls of the whole equilibrium."""
+def narrowing_steps(monkeypatch, args, options):
+    """Solve the equilibrium of axial_equilibrium's args and options and
+    check, from its br.solve_load calls, how it narrows its solved bracket
+    [a, b], the scan cell at first: each step is one 2D evaluation (a
+    solve_load per face) at a point of bisection_lattice of the scan cell,
+    strictly inside [a, b] before it, and replaces the end on its side; the
+    steps end with both ends solved, of opposite signs and adjacent on the
+    lattice, or at an end whose imbalance is exactly 0, and the evaluations
+    after them lie within 1e-10 m of the clearance returned.  Returns the
+    equilibrium, (a, b, point) per step, each a tuple (c_top, imbalance,
+    top load, bottom load), the lattice, and the solve_reynolds calls of the
+    whole equilibrium."""
     solves = count_calls(monkeypatch, "solve_reynolds")
-    original, steps, calls = br._narrowed_bracket, [], []
+    original, loads = br.solve_load, []
 
-    def recorded(net, model, a, b, *rest):
-        def step(c):
-            steps.append((c, *net(c)))
-            return steps[-1][1:]
+    def recorded(bearing, film, *rest):
+        loads.append((film.nominal_clearance, original(bearing, film, *rest)))
+        return loads[-1][1]
 
-        before = len(solves)
-        calls.append((a, b, original(step, model, a, b, *rest)))
-        assert len(solves) - before == 2 * len(steps)
-        return calls[-1][2]
-
-    monkeypatch.setattr(br, "_narrowed_bracket", recorded)
-    args, options = equilibrium_case(case)
+    monkeypatch.setattr(br, "solve_load", recorded)
     eq = br.axial_equilibrium(*args, **options)
-    [(a, b, result)] = calls
+    _, _, gap, external_load, _ = args
+    points = []  # (c_top, imbalance, top load, bottom load) per evaluation
+    for (c, w_top), (c_bot, w_bot) in zip(loads[::2], loads[1::2]):
+        assert c_bot == gap - c
+        points.append((c, w_top - w_bot - external_load, w_top, w_bot))
+    assert 2 * len(points) == len(loads)
+    assert len({point[0] for point in points}) == len(points)
+    c_scan = np.linspace(0.02, 0.98, options.get("scan_points", 48)) * gap
+    bisected = [point for point in points if point[0] not in c_scan]
+    hi = np.searchsorted(c_scan, bisected[0][0])
+    solved = {point[0]: point for point in points}
+    a, b = solved[c_scan[hi - 1]], solved[c_scan[hi]]
     lattice = bisection_lattice(a[0], b[0])
+    if 0.0 in (a[1], b[1]):
+        a = b = a if a[1] == 0.0 else b
     trail = []
-    for point in steps:
+    for point in bisected:
+        if a[0] == b[0] or lattice.index(b[0]) == lattice.index(a[0]) + 1:
+            assert abs(point[0] - eq.top_clearance) <= 1.0e-10
+            continue
         assert a[0] < point[0] < b[0]
         assert point[0] in lattice
         trail.append((a, b, point))
-        if (point[1] > 0.0) == (b[1] > 0.0):
+        if point[1] == 0.0:
+            a = b = point
+        elif (point[1] > 0.0) == (b[1] > 0.0):
             b = point
         else:
             a = point
-    if 0.0 in (a[1], b[1]):
-        zero = a if a[1] == 0.0 else b
-        assert result == (zero[0], zero[0])
+    if a[0] == b[0]:
+        assert a[1] == 0.0
     else:
-        assert result == (a[0], b[0])
         assert a[1] * b[1] < 0.0
         assert lattice.index(b[0]) == lattice.index(a[0]) + 1
     return eq, trail, lattice, solves
@@ -1039,7 +1045,7 @@ def test_equilibrium_narrows_its_bracket_one_solved_point_per_step(monkeypatch, 
     pair's first step is the lattice point nearest the root of the top
     face's corrected model alone, and it takes no more steps than the
     grooved pairs."""
-    eq, trail, lattice, _ = narrowing_steps(monkeypatch, case)
+    eq, trail, lattice, _ = narrowing_steps(monkeypatch, *equilibrium_case(case))
     assert eq.converged
     assert (trail == []) == (case == "symmetric-zero-end")
     if case == "ungrooved-bottom":
@@ -1067,7 +1073,7 @@ def test_equilibrium_bisects_past_a_wrong_model(monkeypatch):
         true_model(bearing, film, c) * (1.0 + 0.5 * np.sin(c / 3.0e-9))))
     args, options = equilibrium_case("default")
     expected = bisected_equilibrium(*args, **options)
-    eq, trail, lattice, solves = narrowing_steps(monkeypatch, "default")
+    eq, trail, lattice, solves = narrowing_steps(monkeypatch, args, options)
     assert (eq.top_clearance, eq.bottom_clearance) == (expected.top_clearance,
                                                        expected.bottom_clearance)
     assert eq.converged and expected.converged
@@ -1081,19 +1087,85 @@ def test_equilibrium_bisects_past_a_wrong_model(monkeypatch):
 
 
 def test_equilibrium_bisects_where_the_model_is_not_finite(monkeypatch):
-    """A narrow-groove model that is nan everywhere but at the 48 scan
+    """A narrow-groove model that is nan everywhere but at a case's scan
     points seeds the scan as the true one does, but the corrected model is
     not finite inside the scan cell.  Each step then targets the midpoint of
-    [a, b], and the equilibrium is the default's, converged."""
-    args, options = equilibrium_case("default")
-    expected = br.axial_equilibrium(*args, **options)
-    gap = args[2]
-    c_scan = np.linspace(0.02, 0.98, 48) * gap
-    scan_clearances = np.concatenate([c_scan, gap - c_scan])
+    [a, b], so the equilibrium bisects: its clearance is that of the
+    bisection that solves every midpoint, bit for bit, converged, on the
+    default pair and on the pair whose model has the wrong sign at the low
+    end."""
     true_model = br._narrow_groove_load
-    monkeypatch.setattr(br, "_narrow_groove_load", lambda bearing, film, c: np.where(
-        np.isin(c, scan_clearances), true_model(bearing, film, c), np.nan))
+    for case in ("default", "model-sign-wrong"):
+        args, options = equilibrium_case(case)
+        expected = bisected_equilibrium(*args, **options)
+        gap = args[2]
+        c_scan = np.linspace(0.02, 0.98, options.get("scan_points", 48)) * gap
+        scan_clearances = np.concatenate([c_scan, gap - c_scan])
+        monkeypatch.setattr(br, "_narrow_groove_load", lambda bearing, film, c: np.where(
+            np.isin(c, scan_clearances), true_model(bearing, film, c), np.nan))
+        eq = br.axial_equilibrium(*args, **options)
+        assert eq.converged and expected.converged
+        assert (eq.top_clearance, eq.bottom_clearance) == (expected.top_clearance,
+                                                           expected.bottom_clearance)
+
+
+def test_equilibrium_step_lands_on_an_exact_zero(monkeypatch):
+    """A top face whose load, in 2D and in the model, is linear in c_top and
+    balances the external load exactly at a point of bisection_lattice that
+    is not a scan point, over a bottom face with no load.  The corrected
+    model is then exact, so the first narrowing step solves that point, its
+    imbalance is exactly 0.0, and it becomes both ends of the bracket.  The
+    clearance and loads are those of the bisection that solves every
+    midpoint, from 2 scan points, that step and one finest midpoint; no
+    Reynolds equation is solved."""
+    top, bottom = BEARING, SpiralGrooveBearing(pump_direction="pump-out")
+    gap, external_load, stiffness = 20.0e-6, 1.0e-4, 400.0
+    c_scan = np.linspace(0.02, 0.98, 48) * gap
+    half = 0.5 * (c_scan[20] + c_scan[21])
+    quarter = 0.5 * (c_scan[20] + half)
+    balanced = 0.5 * (quarter + half)  # a third-level midpoint of the scan cell
+
+    def load(bearing, c_top):  # N, the same in 2D and in the model
+        if bearing is top:
+            return external_load - stiffness * (c_top - balanced)
+        return 0.0 * c_top
+
+    monkeypatch.setattr(br, "_narrow_groove_load", lambda bearing, film, c: load(bearing, c))
+    monkeypatch.setattr(br, "solve_load",
+                        lambda bearing, film, *rest: load(bearing, film.nominal_clearance))
+    evaluated = count_calls(monkeypatch, "solve_load")
+    args = (top, bottom, gap, external_load, FILM)
+    expected = bisected_equilibrium(*args)
+    bisected_evaluations = len(evaluated) // 2
+    eq, trail, _, solves = narrowing_steps(monkeypatch, args, {})
+    assert solves == []
+    [(a, b, point)] = trail
+    assert (a[0], b[0]) == (c_scan[20], c_scan[21])
+    assert point == (balanced, 0.0, external_load, 0.0)
+    assert (eq.top_clearance, eq.bottom_clearance, eq.top_load, eq.bottom_load,
+            eq.converged) == (expected.top_clearance, expected.bottom_clearance,
+                              expected.top_load, expected.bottom_load, expected.converged)
+    assert eq.converged and eq.stable
+    assert len(evaluated) // 2 - bisected_evaluations == 4
+    assert bisected_evaluations > 4
+
+
+def test_equilibrium_matches_brentq_on_the_2d_imbalance():
+    """An oracle independent of the bisection: scipy's brentq, driven to
+    1e-12 m on the default pair's 2D imbalance (solves without held factors)
+    over the scan cell holding axial_equilibrium's clearance, finds a root
+    within 1e-10 m of that clearance."""
+    args, options = equilibrium_case("default")
+    top, bottom, gap, external_load, film = args
     eq = br.axial_equilibrium(*args, **options)
-    assert eq.converged
-    assert (eq.top_clearance, eq.bottom_clearance) == (expected.top_clearance,
-                                                       expected.bottom_clearance)
+    c_scan = np.linspace(0.02, 0.98, 48) * gap
+    hi = np.searchsorted(c_scan, eq.top_clearance)
+
+    def imbalance(c_top):
+        return (br.solve_load(top, replace(film, nominal_clearance=c_top), *br.EQUILIBRIUM_GRID)
+                - br.solve_load(bottom, replace(film, nominal_clearance=gap - c_top),
+                                *br.EQUILIBRIUM_GRID)
+                - external_load)
+
+    root = brentq(imbalance, c_scan[hi - 1], c_scan[hi], xtol=1.0e-12)
+    assert abs(root - eq.top_clearance) <= 1.0e-10
