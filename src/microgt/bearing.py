@@ -61,9 +61,10 @@ equation never loads it.
 The narrow-groove (infinite-groove-number) reference evaluates the
 classical effective-medium solution in the incompressible limit.  It
 cross-checks the numerical load and steers axial_equilibrium's scan and,
-scaled by each face's 2D/model load ratio, the narrowing steps inside its
-one bisection loop, each of which solves one of the bisection's own
-midpoints.
+scaled by each face's 2D/model load ratio, the narrowing steps of its
+bisection.  Each step solves one of the bisection's own midpoints strictly
+inside the solved bracket, and the bracket's ends alone give the side of
+every level, above the 1e-10 m cells and below them.
 """
 
 from __future__ import annotations
@@ -840,15 +841,18 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     NoEquilibriumError is raised only once every point is solved.  With
     one sign change on the grid the walk ends in the cell that a scan up
     from the low end finds; with several, in the first it meets, perhaps
-    not the first from the low end.  Then it bisects the scan cell to a
-    1e-10 m bracket with |net_load - external_load| <= load_tolerance,
-    and keeps [a, b], the solved ends of the root's bracket, from the scan
-    cell's on.  A midpoint of a wider bisection cell at or below a takes
-    the c_lo side, one at or above b the c_hi side, unsolved.  While the midpoint lies strictly inside (a, b), a narrowing
-    step solves one point, which replaces the end on its side; a point or
-    scan end whose imbalance is exactly 0 becomes both ends.  The step
-    roots, with bracketed_root, the faces' model loads scaled by their
-    2D/model ratios, interpolated linearly in c_top between a and b so as
+    not the first from the low end.  Then it halves the scan cell until a
+    cell 1e-10 m wide or less (or whose ends are adjacent floats, at c_top
+    above about 1e6 m) has a midpoint with |net_load - external_load| <=
+    load_tolerance, or 80 times, and returns that midpoint.  It keeps
+    [a, b], the solved ends of the root's bracket, from the scan cell's on,
+    and takes every level's side from them.  While the cell's midpoint lies
+    strictly inside (a, b), a narrowing step solves one point, which
+    replaces the end on its side; a point or scan end whose imbalance is
+    exactly 0 becomes both ends.  Then the cell keeps the half on b's side:
+    the low half if the midpoint is at or above b.  The step roots, with
+    bracketed_root, the faces' model loads scaled by their 2D/model
+    ratios, interpolated linearly in c_top between a and b so as
     to equal the solved imbalance at both ends (output space mapping,
     Bandler et al., 1994); a face whose ratio is not finite (no model load)
     takes 1, and so adds its model load of 0.  After a step that did not
@@ -856,9 +860,9 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     the root evaluates, the target is the midpoint of [a, b] instead.  It
     solves the point nearest the target among the midpoints strictly inside
     (a, b) that halving the bisection's cell toward the target gives, down
-    to the first cell 1e-10 m wide or less.  The midpoints of cells 1e-10 m
-    wide or less, whose loads are returned, are solved, each c_top once, so
-    the last midpoint, a or b, costs no solve.  Assumed: the imbalance
+    to the first cell 1e-10 m wide or less: in a cell that narrow, the
+    midpoint itself.  Each c_top is solved once, so a returned midpoint
+    that is a or b costs no further solve.  Assumed: the imbalance
     crosses zero once in the scan cell (2.04% of the gap at 48 scan
     points), so each side is the one a solve would give.  Were there more
     crossings, the answer would still be a solved root in that cell to
@@ -918,8 +922,8 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
                 f"endpoint imbalances {scan_value(0):.3e} N and "
                 f"{scan_value(scan_points - 1):.3e} N")
         hi = lo + 1
-    c_lo, c_hi, lo_val = c_scan[lo], c_scan[hi], scan_value(lo)
-    stable = scan_value(hi) < lo_val
+    c_lo, c_hi = c_scan[lo], c_scan[hi]
+    stable = scan_value(hi) < scan_value(lo)
 
     clearance_tolerance = 1.0e-10  # m, pins the split well below load noise
     a, b = (c_lo, *net(c_lo)), (c_hi, *net(c_hi))  # each (c_top, *net(c_top))
@@ -928,7 +932,7 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     last, stalled = math.inf, False
     for _ in range(80):
         c_mid = 0.5 * (c_lo + c_hi)
-        while c_hi - c_lo > clearance_tolerance and a[0] < c_mid < b[0]:
+        while a[0] < c_mid < b[0]:
             target = 0.5 * (a[0] + b[0])
             if not stalled:
                 with np.errstate(all="ignore"):  # a face with no model load has no ratio
@@ -940,7 +944,7 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
                     except FloatingPointError:
                         pass  # the midpoint target stands
             (x_lo, x_hi), inside = (c_lo, c_hi), []
-            while True:  # down the bisection's cells toward target
+            while True:  # down the bisection's cells toward target; c_mid alone when finest
                 x = 0.5 * (x_lo + x_hi)
                 if a[0] < x < b[0]:
                     inside.append(x)
@@ -956,20 +960,12 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
                 b = end
             else:
                 a = end
-        if c_hi - c_lo > clearance_tolerance:
-            c_lo, c_hi = (c_lo, c_mid) if c_mid >= b[0] else (c_mid, c_hi)
-            continue
-        imbalance, w_top, w_bot = net(c_mid)
-        if abs(imbalance) <= load_tolerance and (c_hi - c_lo) <= clearance_tolerance:
-            break
-        if lo_val * imbalance <= 0.0:
-            c_hi = c_mid
-        else:
-            c_lo = c_mid
-            lo_val = imbalance
-    else:
-        c_mid = 0.5 * (c_lo + c_hi)
-        imbalance, w_top, w_bot = net(c_mid)
+        # the finest cells, and cells of two adjacent floats wider than them
+        if c_hi - c_lo <= clearance_tolerance or c_mid in (c_lo, c_hi):
+            imbalance, w_top, w_bot = net(c_mid)
+            if abs(imbalance) <= load_tolerance:
+                break
+        c_lo, c_hi = (c_lo, c_mid) if c_mid >= b[0] else (c_mid, c_hi)
     return AxialEquilibrium(
         top_clearance=c_mid, bottom_clearance=total_gap - c_mid,
         top_load=w_top, bottom_load=w_bot, net_load=w_top - w_bot,

@@ -889,12 +889,23 @@ def equilibrium_case(case):
         # the ungrooved face carries no load, in 2D and in the model
         "ungrooved-bottom": ((BEARING, SpiralGrooveBearing(groove_depth=0.0), 20.0e-6,
                               5.0e-4, FILM), {}),
+        # the viscous film of test_cli's high-viscosity run: the finest
+        # midpoint misses load_tolerance, so the clearance lies below 1e-10 m
+        "viscous": (equilibrium_args(default_config()
+                                     .with_value("bearing", "viscosity_pa_s", 3.6e-3)
+                                     .with_value("bearing", "external_axial_load_n", 0.12)),
+                    {}),
     }[case]
 
 
-@pytest.mark.parametrize("case", ["default", "load-4e-4", "load-6e-4", "pump-out-bottom",
-                                  "symmetric-zero-end", "symmetric-1e-5", "engine-0-9",
-                                  "grooves-8", "model-sign-wrong", "ungrooved-bottom"])
+# The cases that the bisection that solves every midpoint checks; "viscous"
+# is not among them, since its scan solves a film that stalls Newton.
+EQUILIBRIUM_CASES = ("default", "load-4e-4", "load-6e-4", "pump-out-bottom",
+                     "symmetric-zero-end", "symmetric-1e-5", "engine-0-9",
+                     "grooves-8", "model-sign-wrong", "ungrooved-bottom")
+
+
+@pytest.mark.parametrize("case", EQUILIBRIUM_CASES)
 def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, case):
     """Seeding the scan from the narrow-groove model and skipping the
     midpoints whose side the solved bracket tells return the clearance of the
@@ -1150,22 +1161,87 @@ def test_equilibrium_step_lands_on_an_exact_zero(monkeypatch):
     assert bisected_evaluations > 4
 
 
+def test_equilibrium_bisects_below_the_lattice_to_the_cap(monkeypatch):
+    """A top face whose load, in 2D and in the model, is linear in c_top
+    over a bottom face with no load, and whose root lies half an ulp from a
+    float off bisection_lattice, so no midpoint balances it exactly.  At
+    load_tolerance 1e-12 the finest midpoint misses, so the equilibrium
+    halves the cell below 1e-10 m until a midpoint balances; at 0 it halves
+    to the 80-level cap, unconverged.  Both return the clearance, loads and
+    convergence of the bisection that solves every midpoint; no Reynolds
+    equation is solved."""
+    top, bottom = BEARING, SpiralGrooveBearing(pump_direction="pump-out")
+    gap, external_load, stiffness = 20.0e-6, 1.0e-4, 400.0
+    c_scan = np.linspace(0.02, 0.98, 48) * gap
+    near = c_scan[20] + 0.3 * (c_scan[21] - c_scan[20])
+    lattice = bisection_lattice(c_scan[20], c_scan[21])
+    assert near not in lattice
+
+    def load(bearing, c_top):  # N, the same in 2D and in the model; 0 at near - ulp/2
+        if bearing is top:
+            return external_load - stiffness * ((c_top - near) + 0.5 * np.spacing(near))
+        return 0.0 * c_top
+
+    monkeypatch.setattr(br, "_narrow_groove_load", lambda bearing, film, c: load(bearing, c))
+    monkeypatch.setattr(br, "solve_load",
+                        lambda bearing, film, *rest: load(bearing, film.nominal_clearance))
+    solves = count_calls(monkeypatch, "solve_reynolds")
+    args = (top, bottom, gap, external_load, FILM)
+    for load_tolerance in (1.0e-12, 0.0):
+        expected = bisected_equilibrium(*args, load_tolerance=load_tolerance)
+        eq = br.axial_equilibrium(*args, load_tolerance=load_tolerance)
+        assert (eq.top_clearance, eq.bottom_clearance, eq.top_load, eq.bottom_load,
+                eq.converged) == (expected.top_clearance, expected.bottom_clearance,
+                                  expected.top_load, expected.bottom_load,
+                                  expected.converged)
+        assert eq.converged == (load_tolerance > 0.0)
+        assert eq.top_clearance not in lattice
+        assert abs(eq.top_clearance - near) <= 1.0e-14
+    assert solves == []
+
+
+def test_equilibrium_stops_where_halving_no_longer_narrows(monkeypatch):
+    """At a gap of 1.2e8 m the floats near c_top are 4.7e-10 m apart, wider
+    than the 1e-10 m cells.  With both loads 0 the scan's low end balances
+    exactly, so the cell halves toward it until its ends are adjacent
+    floats whose midpoint rounds to the high end.  The equilibrium stops
+    there, as the bisection that solves every midpoint does after its
+    80-level cap; no Reynolds equation is solved."""
+    monkeypatch.setattr(br, "_narrow_groove_load", lambda bearing, film, c: 0.0 * c)
+    monkeypatch.setattr(br, "solve_load", lambda bearing, film, *rest: 0.0)
+    solves = count_calls(monkeypatch, "solve_reynolds")
+    args = (BEARING, SpiralGrooveBearing(pump_direction="pump-out"), 1.2345678912345e8,
+            0.0, FILM)
+    expected = bisected_equilibrium(*args)
+    eq = br.axial_equilibrium(*args)
+    assert (eq.top_clearance, eq.bottom_clearance, eq.top_load, eq.bottom_load,
+            eq.converged) == (expected.top_clearance, expected.bottom_clearance,
+                              expected.top_load, expected.bottom_load, expected.converged)
+    c_lo = 0.02 * args[2]
+    assert eq.converged and eq.top_clearance == np.nextafter(c_lo, np.inf)
+    assert eq.top_clearance - c_lo > 1.0e-10
+    assert solves == []
+
+
 def test_equilibrium_matches_brentq_on_the_2d_imbalance():
     """An oracle independent of the bisection: scipy's brentq, driven to
-    1e-12 m on the default pair's 2D imbalance (solves without held factors)
-    over the scan cell holding axial_equilibrium's clearance, finds a root
-    within 1e-10 m of that clearance."""
-    args, options = equilibrium_case("default")
-    top, bottom, gap, external_load, film = args
-    eq = br.axial_equilibrium(*args, **options)
-    c_scan = np.linspace(0.02, 0.98, 48) * gap
-    hi = np.searchsorted(c_scan, eq.top_clearance)
+    1e-12 m on a pair's 2D imbalance (solves without held factors) over the
+    scan cell holding axial_equilibrium's clearance, finds a root within
+    1e-10 m of that clearance.  The pairs: the default one, and the viscous
+    one, whose clearance lies below the 1e-10 m lattice."""
+    for case in ("default", "viscous"):
+        args, options = equilibrium_case(case)
+        top, bottom, gap, external_load, film = args
+        eq = br.axial_equilibrium(*args, **options)
+        c_scan = np.linspace(0.02, 0.98, 48) * gap
+        hi = np.searchsorted(c_scan, eq.top_clearance)
 
-    def imbalance(c_top):
-        return (br.solve_load(top, replace(film, nominal_clearance=c_top), *br.EQUILIBRIUM_GRID)
-                - br.solve_load(bottom, replace(film, nominal_clearance=gap - c_top),
-                                *br.EQUILIBRIUM_GRID)
-                - external_load)
+        def imbalance(c_top):
+            return (br.solve_load(top, replace(film, nominal_clearance=c_top),
+                                  *br.EQUILIBRIUM_GRID)
+                    - br.solve_load(bottom, replace(film, nominal_clearance=gap - c_top),
+                                    *br.EQUILIBRIUM_GRID)
+                    - external_load)
 
-    root = brentq(imbalance, c_scan[hi - 1], c_scan[hi], xtol=1.0e-12)
-    assert abs(root - eq.top_clearance) <= 1.0e-10
+        root = brentq(imbalance, c_scan[hi - 1], c_scan[hi], xtol=1.0e-12)
+        assert abs(root - eq.top_clearance) <= 1.0e-10
