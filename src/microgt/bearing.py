@@ -63,8 +63,8 @@ classical effective-medium solution in the incompressible limit.  It
 cross-checks the numerical load and steers axial_equilibrium's scan and,
 scaled by each face's 2D/model load ratio, the narrowing steps of its
 bisection.  Each step solves one of the bisection's own midpoints strictly
-inside the solved bracket, and the bracket's ends alone give the side of
-every level, above the 1e-10 m cells and below them.
+inside the solved bracket, whose ends alone give the side of every halving,
+and the bisection stops at the first cell that cannot halve, if not before.
 """
 
 from __future__ import annotations
@@ -641,15 +641,16 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
             f"grid must be at least {MIN_RADIAL_NODES} x {MIN_ANGULAR_NODES} nodes"
         )
     p_amb = film.ambient_pressure
-    co = _coefficients(bearing, film, n_r, n_theta)
-    du, dv, s, lam, e_cell, s3 = co.du, co.dv, co.s, co.lam, co.e_cell, co.s3
-    one_plus_s2 = 1.0 + s * s
 
-    # A film beyond float range overflows the flux scale or the starting
-    # residual.  The test after this block raises for it, before any
-    # factorisation, so numpy's warnings would only repeat it.  Every later
-    # residual is a line-search trial whose norm did not grow (see there).
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A film beyond float range overflows, or divides by 0, in the coefficients,
+    # the flux scale or the starting residual.  The test after this block raises
+    # for it, before any factorisation, so numpy's warnings would only repeat
+    # it.  Every later residual is a line-search trial whose norm did not grow.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        co = _coefficients(bearing, film, n_r, n_theta)
+        lam_number = compressibility_number(bearing, film)
+        du, dv, s, lam, e_cell, s3 = co.du, co.dv, co.s, co.lam, co.e_cell, co.s3
+        one_plus_s2 = 1.0 + s * s
         # Per-node magnitude of the flux terms, the yardstick of convergence.
         couette = (co.inv_h2_left + co.inv_h2_right) / s3
         scale = (2.0 * dv * co.d_col[None, :] / (one_plus_s2 * du)
@@ -663,9 +664,8 @@ def solve_reynolds(bearing: SpiralGrooveBearing, film: FilmState,
         terms = _row_terms(co, q)
         f = _cross_rows(co, terms)
     if not (np.isfinite(scale).all() and np.isfinite(f).all()):
-        raise SolverError(
-            "residual not finite at iteration 0 (compressibility number "
-            f"{compressibility_number(bearing, film):.3e})")
+        raise SolverError("residual not finite at iteration 0 "
+                          f"(compressibility number {lam_number:.3e})")
 
     if factor is None:
         factor = JacobianFactor()
@@ -842,9 +842,9 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     one sign change on the grid the walk ends in the cell that a scan up
     from the low end finds; with several, in the first it meets, perhaps
     not the first from the low end.  Then it halves the scan cell until a
-    cell 1e-10 m wide or less (or whose ends are adjacent floats, at c_top
-    above about 1e6 m) has a midpoint with |net_load - external_load| <=
-    load_tolerance, or 80 times, and returns that midpoint.  It keeps
+    cell 1e-10 m wide or less has a midpoint with |net_load -
+    external_load| <= load_tolerance, or until, as halving must, it reaches
+    a cell of two adjacent floats, and returns that midpoint.  It keeps
     [a, b], the solved ends of the root's bracket, from the scan cell's on,
     and takes every level's side from them.  While the cell's midpoint lies
     strictly inside (a, b), a narrowing step solves one point, which
@@ -860,8 +860,8 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     the root evaluates, the target is the midpoint of [a, b] instead.  It
     solves the point nearest the target among the midpoints strictly inside
     (a, b) that halving the bisection's cell toward the target gives, down
-    to the first cell 1e-10 m wide or less: in a cell that narrow, the
-    midpoint itself.  Each c_top is solved once, so a returned midpoint
+    to the first cell 1e-10 m wide or less or of two adjacent floats: there,
+    the midpoint itself.  Each c_top is solved once, so a returned midpoint
     that is a or b costs no further solve.  Assumed: the imbalance
     crosses zero once in the scan cell (2.04% of the gap at 48 scan
     points), so each side is the one a solve would give.  Were there more
@@ -930,9 +930,9 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
     if 0.0 in (a[1], b[1]):
         a = b = a if a[1] == 0.0 else b
     last, stalled = math.inf, False
-    for _ in range(80):
+    while True:
         c_mid = 0.5 * (c_lo + c_hi)
-        while a[0] < c_mid < b[0]:
+        if a[0] < c_mid < b[0]:  # a narrowing step
             target = 0.5 * (a[0] + b[0])
             if not stalled:
                 with np.errstate(all="ignore"):  # a face with no model load has no ratio
@@ -948,7 +948,7 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
                 x = 0.5 * (x_lo + x_hi)
                 if a[0] < x < b[0]:
                     inside.append(x)
-                if x_hi - x_lo <= clearance_tolerance:
+                if x_hi - x_lo <= clearance_tolerance or x in (x_lo, x_hi):
                     break
                 x_lo, x_hi = (x_lo, x) if target < x else (x, x_hi)
             c = min(inside, key=lambda x: abs(x - target))
@@ -960,12 +960,12 @@ def axial_equilibrium(top: SpiralGrooveBearing, bottom: SpiralGrooveBearing,
                 b = end
             else:
                 a = end
-        # the finest cells, and cells of two adjacent floats wider than them
-        if c_hi - c_lo <= clearance_tolerance or c_mid in (c_lo, c_hi):
-            imbalance, w_top, w_bot = net(c_mid)
-            if abs(imbalance) <= load_tolerance:
-                break
-        c_lo, c_hi = (c_lo, c_mid) if c_mid >= b[0] else (c_mid, c_hi)
+        elif c_mid in (c_lo, c_hi) or (c_hi - c_lo <= clearance_tolerance
+                                       and abs(net(c_mid)[0]) <= load_tolerance):
+            break  # adjacent floats (over 1e-10 m apart above c_top ~1e6 m) or a balance
+        else:
+            c_lo, c_hi = (c_lo, c_mid) if c_mid >= b[0] else (c_mid, c_hi)
+    imbalance, w_top, w_bot = net(c_mid)
     return AxialEquilibrium(
         top_clearance=c_mid, bottom_clearance=total_gap - c_mid,
         top_load=w_top, bottom_load=w_bot, net_load=w_top - w_bot,

@@ -5,13 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 
 from microgt import bearing as br
 from microgt.bearing import FilmState, PressureField, SpiralGrooveBearing
 from microgt.config import default_config
+from time_limit import time_limit
 
 BEARING = SpiralGrooveBearing()
 FILM = FilmState()
@@ -946,8 +947,9 @@ def test_equilibrium_solves_fewer_midpoints_to_the_same_clearance(monkeypatch, c
 
 
 def test_equilibrium_reports_the_bisection_cap():
-    """With load_tolerance 0 no midpoint balances, so the bisection stops at
-    its 80-level cap, unconverged, at the converged clearance to 1e-10 m."""
+    """With load_tolerance 0 no midpoint balances, so the bisection halves
+    until the first cell that cannot halve, whose ends are adjacent floats,
+    and stops there, unconverged, at the converged clearance to 1e-10 m."""
     args, _ = equilibrium_case("default")
     eq = br.axial_equilibrium(*args, load_tolerance=0.0)
     assert not eq.converged
@@ -1120,6 +1122,20 @@ def test_equilibrium_bisects_where_the_model_is_not_finite(monkeypatch):
                                                            expected.bottom_clearance)
 
 
+def linear_top_load(monkeypatch, top, external_load, slope, root):
+    """Replace the 2D and the model loads: the top face's falls linearly in
+    c_top by slope N/m and balances external_load at root; the bottom face
+    carries none.  No Reynolds equation is solved."""
+    def load(bearing, c_top):
+        if bearing is top:
+            return external_load - slope * (c_top - root)
+        return 0.0 * c_top
+
+    monkeypatch.setattr(br, "_narrow_groove_load", lambda bearing, film, c: load(bearing, c))
+    monkeypatch.setattr(br, "solve_load",
+                        lambda bearing, film, *rest: load(bearing, film.nominal_clearance))
+
+
 def test_equilibrium_step_lands_on_an_exact_zero(monkeypatch):
     """A top face whose load, in 2D and in the model, is linear in c_top and
     balances the external load exactly at a point of bisection_lattice that
@@ -1135,15 +1151,7 @@ def test_equilibrium_step_lands_on_an_exact_zero(monkeypatch):
     half = 0.5 * (c_scan[20] + c_scan[21])
     quarter = 0.5 * (c_scan[20] + half)
     balanced = 0.5 * (quarter + half)  # a third-level midpoint of the scan cell
-
-    def load(bearing, c_top):  # N, the same in 2D and in the model
-        if bearing is top:
-            return external_load - stiffness * (c_top - balanced)
-        return 0.0 * c_top
-
-    monkeypatch.setattr(br, "_narrow_groove_load", lambda bearing, film, c: load(bearing, c))
-    monkeypatch.setattr(br, "solve_load",
-                        lambda bearing, film, *rest: load(bearing, film.nominal_clearance))
+    linear_top_load(monkeypatch, top, external_load, stiffness, balanced)
     evaluated = count_calls(monkeypatch, "solve_load")
     args = (top, bottom, gap, external_load, FILM)
     expected = bisected_equilibrium(*args)
@@ -1167,9 +1175,9 @@ def test_equilibrium_bisects_below_the_lattice_to_the_cap(monkeypatch):
     float off bisection_lattice, so no midpoint balances it exactly.  At
     load_tolerance 1e-12 the finest midpoint misses, so the equilibrium
     halves the cell below 1e-10 m until a midpoint balances; at 0 it halves
-    to the 80-level cap, unconverged.  Both return the clearance, loads and
-    convergence of the bisection that solves every midpoint; no Reynolds
-    equation is solved."""
+    until the cell cannot halve, unconverged.  Both return the clearance,
+    loads and convergence of the bisection that solves every midpoint (which
+    stops at its own 80-level cap); no Reynolds equation is solved."""
     top, bottom = BEARING, SpiralGrooveBearing(pump_direction="pump-out")
     gap, external_load, stiffness = 20.0e-6, 1.0e-4, 400.0
     c_scan = np.linspace(0.02, 0.98, 48) * gap
@@ -1221,6 +1229,49 @@ def test_equilibrium_stops_where_halving_no_longer_narrows(monkeypatch):
     assert eq.converged and eq.top_clearance == np.nextafter(c_lo, np.inf)
     assert eq.top_clearance - c_lo > 1.0e-10
     assert solves == []
+
+
+def test_equilibrium_steps_stop_where_halving_no_longer_narrows(monkeypatch):
+    """At a gap of 1.2e8 m the floats 0.3 of the way across scan cell 20-21
+    are 7.5e-9 m apart, wider than the 1e-10 m cells.  A top load linear in
+    c_top, balanced there, takes narrowing steps, and each step's walk
+    down the bisection's cells ends, as the halving does, at the first cell
+    whose ends are adjacent floats.  The equilibrium returns converged, at
+    the root to a few floats."""
+    top, bottom = BEARING, SpiralGrooveBearing(pump_direction="pump-out")
+    gap, external_load = 1.2345678912345e8, 1.0e-4
+    c_scan = np.linspace(0.02, 0.98, 48) * gap
+    root = c_scan[20] + 0.3 * (c_scan[21] - c_scan[20])
+    linear_top_load(monkeypatch, top, external_load, 1.0e-12, root)
+    solves = count_calls(monkeypatch, "solve_reynolds")
+    with time_limit(2):
+        eq = br.axial_equilibrium(top, bottom, gap, external_load, FILM)
+    assert eq.converged and eq.stable
+    assert abs(eq.top_clearance - root) <= 4 * np.spacing(root)
+    assert solves == []
+
+
+@settings(derandomize=True, deadline=None, max_examples=200,
+          phases=[Phase.explicit, Phase.generate])
+@given(gap_exponent=st.floats(-200.0, 300.0), root_fraction=st.floats(0.02, 0.98),
+       load_exponent=st.floats(-6.0, 3.0), fall=st.floats(1.0, 1000.0))
+def test_equilibrium_ends_near_the_root_at_any_gap(gap_exponent, root_fraction,
+                                                   load_exponent, fall):
+    """At gaps from 1e-200 m to 1e300 m, where the floats near c_top run
+    from far finer to far coarser than the 1e-10 m cells, the equilibrium
+    of a top load linear in c_top, balanced at a root inside the scan,
+    returns within 1e-10 m or 64 floats of the root.  The load falls by 1
+    to 1000 times the external load across the gap, so that the floats of
+    the load place its root to a few floats of c_top.  No shrinking: a call
+    that does not return fails at its time limit."""
+    top, bottom = BEARING, SpiralGrooveBearing(pump_direction="pump-out")
+    gap = 10.0 ** gap_exponent
+    external_load = 10.0 ** load_exponent
+    root = root_fraction * gap
+    with pytest.MonkeyPatch.context() as monkeypatch, time_limit(2):
+        linear_top_load(monkeypatch, top, external_load, fall * external_load / gap, root)
+        eq = br.axial_equilibrium(top, bottom, gap, external_load, FILM)
+    assert abs(eq.top_clearance - root) <= max(1.0e-10, 64 * np.spacing(root))
 
 
 def test_equilibrium_matches_brentq_on_the_2d_imbalance():

@@ -14,6 +14,7 @@ from microgt import bearing as br
 from microgt import cli, config, cycle, gas, turbo
 from microgt import combustor as cb
 from microgt.config import ConfigError, DEFAULT_CONFIG, default_config, validate
+from time_limit import time_limit
 
 
 def test_default_config_is_valid():
@@ -84,9 +85,9 @@ def test_validate_names_the_line_of_a_malformed_input(tmp_path, capsys, text, er
     assert capsys.readouterr().err == f"invalid: {error}\n"
 
 
-def _with(key, value):
-    """DEFAULT_CONFIG with the line of key, in whichever section, set to value."""
-    text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", DEFAULT_CONFIG, flags=re.M)
+def _with(key, value, text=DEFAULT_CONFIG):
+    """text with the line of key, in whichever section, set to value."""
+    text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
     assert count == 1
     return text
 
@@ -282,6 +283,49 @@ def test_run_bearing_warns_outside_verified_lambda(tmp_path, capsys):
                "clearance is above 30, outside the verified range")
     assert (out / "summary.txt").read_text().splitlines()[-1] == warning
     assert capsys.readouterr().err.splitlines() == [warning]
+
+
+def test_run_bearing_stops_where_the_floats_are_coarser_than_its_cells(tmp_path, capsys):
+    """The default bearing with every length times 1e12 and its load times
+    1e24 keeps its compressibility number, but the floats near its
+    clearances lie about 1e-9 m apart, wider than the 1e-10 m cells.  The
+    equilibrium's bisection stops at the first cell whose ends are adjacent
+    floats, in a few seconds, and the run exits 0 unconverged: 1e-6 N is
+    below the resolution of loads near 1e21 N."""
+    text = DEFAULT_CONFIG
+    for key, value in [("inner_radius_m", "1e9"), ("outer_radius_m", "2.2e9"),
+                       ("top_groove_depth_m", "1.5e7"), ("bottom_groove_depth_m", "3.6e7"),
+                       ("total_axial_gap_m", "4e7"), ("nominal_clearance_m", "5e6"),
+                       ("external_axial_load_n", "5.853e20")]:
+        text = _with(key, value, text)
+    cfg = tmp_path / "cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    with time_limit(5):
+        assert cli.main(["run", "bearing", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert "bearing: axial equilibrium clearances top " in summary
+    assert "(converged=False)" in summary
+
+
+@pytest.mark.parametrize("gap, code", [("1e-320", 2), ("1e-200", 2), ("1e-160", 2),
+                                       ("1e200", 0)])
+def test_run_bearing_at_extreme_gaps_raises_no_numpy_warning(tmp_path, capsys, gap, code):
+    """The equilibrium's clearances are numpy scalars, whose arithmetic in
+    the Reynolds coefficients warns where floats would raise.  At gaps so
+    narrow that the films lie beyond float range the solve reports the
+    residual not finite (exit 2), and at 1e200 m the scan finds no sign
+    change (exit 0), with no numpy warning, which this suite makes an
+    error."""
+    cfg = tmp_path / "cfg"
+    cfg.write_text(_with("total_axial_gap_m", gap))
+    out = tmp_path / "out"
+    assert cli.main(["run", "bearing", "--config", str(cfg), "--out", str(out)]) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith(
+            "error: bearing: residual not finite at iteration 0")
+    else:
+        assert "axial equilibrium clearances not found" in (out / "summary.txt").read_text()
 
 
 def test_run_bearing_warns_on_under_resolved_stripes(tmp_path, capsys):
