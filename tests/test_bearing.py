@@ -405,6 +405,41 @@ def test_groove_edges_match_the_listed_edges_on_random_faces(count, fraction, n_
     assert_edge_lengths_match_the_list(face, n_theta)
 
 
+def assert_edge_lengths_measure_the_groove(face, n_theta):
+    """Each v-face path's length in the groove, from the stripe measure
+    G(y) = floor(y) a + min(frac(y), a) with y = v N_g / 2 pi + a / 2, equals
+    len_left and len_right summed over the sides whose node is in the groove,
+    on every path that holds at most one groove edge.  Returns False, having
+    checked nothing, where a node sits on an edge (item 10's tie)."""
+    a, scale_y = face.groove_width_fraction, face.groove_count / (2.0 * math.pi)
+    co = br._coefficients(face, FILM, 33, n_theta)
+    y = (np.arange(n_theta + 1) - 0.5) * co.dv * scale_y + 0.5 * a
+    if np.any(np.isclose(y % 1.0, [[0.0], [a], [1.0]], rtol=0.0, atol=1e-9)):
+        return False
+    measure = np.floor(y) * a + np.minimum(y % 1.0, a)
+    groove = (co.v_nodes * scale_y + 0.5 * a) % 1.0 < a
+    sides = co.len_left * np.roll(groove, 1) + co.len_right * groove
+    at_most_one_edge = np.diff(np.floor(y)) + np.diff(np.floor(y - a)) <= 1
+    error = np.abs(np.diff(measure) / scale_y - sides)[at_most_one_edge]
+    assert np.all(error <= 1e-12 * co.dv)
+    return True
+
+
+@pytest.mark.parametrize("face", list(KINKED_FACES))
+def test_groove_edges_measure_the_groove(face):
+    checked = [assert_edge_lengths_measure_the_groove(KINKED_FACES[face], n_theta)
+               for n_theta in (64, 96)]
+    assert checked == [face != "16-grooves-0.25", True]
+
+
+@settings(deadline=None, max_examples=200)
+@given(count=st.integers(4, 400), fraction=st.floats(0.01, 0.99),
+       n_theta=st.integers(br.MIN_ANGULAR_NODES, 800))
+def test_groove_edges_measure_the_groove_on_random_faces(count, fraction, n_theta):
+    face = SpiralGrooveBearing(groove_count=count, groove_width_fraction=fraction)
+    assume(assert_edge_lengths_measure_the_groove(face, n_theta))
+
+
 def test_groove_edges_take_memory_independent_of_the_groove_count():
     """Validation accepts any groove count of 4 or more; the edge search
     looks only at the edges next to each face (listing every edge of the
@@ -603,6 +638,30 @@ def test_jacobian_matches_one_residual_call_per_colour(n_r, n_theta, face):
     q[1:-1] += step.reshape(n_r - 2, n_theta)
     assert q.min() > 0.0
     check(q)
+
+
+@pytest.mark.parametrize("face", ["default", "40-grooves"])
+def test_jacobian_is_the_derivative_of_the_residual(face):
+    """At a random field, the colored Jacobian, mapped back to cell order,
+    matches central differences of the residual in the column of every cell
+    of interior rows 1-5, which hold every colour, to 1e-7 of max|J|, and its
+    pattern holds every difference above 1e-6 of max|J|."""
+    n_r, n_theta, h = 33, 64, 1.0e-5
+    co = br._coefficients(KINKED_FACES.get(face, BEARING), FILM, n_r, n_theta)
+    q = np.ones((n_r, n_theta))
+    q[1:-1] = np.random.default_rng(3).uniform(1.0, 1.3, (n_r - 2, n_theta))
+    base = br._residual(co, q)
+    jac, cells = br._jacobian(co, br._row_terms(co, q), base)
+    position = np.argsort(cells)  # the ordered position of each cell
+    columns = np.arange(5 * n_theta)  # the cells of interior rows 1-5
+    jac_columns = jac.tocsr()[position][:, position[columns]].toarray()
+    step = np.zeros((len(columns), n_r, n_theta))
+    step[columns, 1 + columns // n_theta, columns % n_theta] = h
+    differences = (br._residual(co, q + step) - br._residual(co, q - step)) / (2.0 * h)
+    differences = differences.reshape(len(columns), -1).T
+    scale = abs(jac).max()
+    assert np.abs(jac_columns - differences).max() <= 1e-7 * scale
+    assert np.all(jac_columns[np.abs(differences) > 1e-6 * scale] != 0.0)
 
 
 @pytest.mark.parametrize("n_theta, n_col", [(64, 4), (80, 4)])
